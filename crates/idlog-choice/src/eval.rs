@@ -103,8 +103,9 @@ fn eval_with_selection(
         .zip(prep.pools.iter().zip(selection))
     {
         db2.declare(&site.name, rel.rtype().clone())?;
+        let scan: Vec<&Tuple> = rel.iter().collect();
         for (g, &pick) in picks.iter().enumerate() {
-            let t: Tuple = grouping.group(g)[pick].clone();
+            let t: Tuple = scan[grouping.group(g)[pick] as usize].clone();
             db2.insert(&site.name, t)?;
         }
     }

@@ -88,6 +88,15 @@ impl Interner {
         f(&st.names[id.index()])
     }
 
+    /// Run `f` on the whole name table under one lock: `names[id.index()]`
+    /// is the name of `id`. Lets a caller order many symbols by name
+    /// without locking or allocating per symbol. `f` must not call back
+    /// into the interner (the lock is held).
+    pub fn with_names<R>(&self, f: impl FnOnce(&[Box<str>]) -> R) -> R {
+        let st = self.state.lock().expect("interner poisoned");
+        f(&st.names)
+    }
+
     /// Number of distinct symbols interned so far.
     pub fn len(&self) -> usize {
         self.state.lock().expect("interner poisoned").names.len()
@@ -157,6 +166,18 @@ mod tests {
         assert_eq!(i.cmp_by_name(a, z), std::cmp::Ordering::Less);
         assert_eq!(i.cmp_by_name(z, a), std::cmp::Ordering::Greater);
         assert_eq!(i.cmp_by_name(a, a), std::cmp::Ordering::Equal);
+    }
+
+    #[test]
+    fn with_names_indexes_by_symbol_id() {
+        let i = Interner::new();
+        let z = i.intern("zebra");
+        let a = i.intern("ant");
+        i.with_names(|names| {
+            assert_eq!(names.len(), 2);
+            assert_eq!(&*names[z.index()], "zebra");
+            assert_eq!(&*names[a.index()], "ant");
+        });
     }
 
     #[test]

@@ -516,7 +516,6 @@ fn branch(
     let (key, base, grouping) = &needed[i];
     let base_rel = state
         .get(&PredKey::Ordinary(*base))
-        .cloned()
         .ok_or_else(|| CoreError::Eval {
             message: format!("base relation {} missing", cx.interner.resolve(*base)),
         })?;
@@ -524,9 +523,9 @@ fn branch(
     // use is bounded, full permutations otherwise.
     let assignments: Vec<_> = match cx.bounds.get(&(*base, grouping.clone())) {
         Some(&bound) => {
-            BoundedAssignmentIter::new(&base_rel, grouping, bound, cx.interner).collect()
+            BoundedAssignmentIter::new(base_rel, grouping, bound, cx.interner).collect()
         }
-        None => IdAssignmentIter::new(&base_rel, grouping, cx.interner).collect(),
+        None => IdAssignmentIter::new(base_rel, grouping, cx.interner).collect(),
     };
 
     if threads > 1 && assignments.len() > 1 {
@@ -541,7 +540,6 @@ fn branch(
                 .chunks(chunk_len)
                 .map(|chunk| {
                     let state = &state;
-                    let base_rel = &base_rel;
                     let key = &key;
                     scope.spawn(move || -> CoreResult<Local> {
                         #[cfg(feature = "failpoints")]
@@ -599,7 +597,7 @@ fn branch(
             return Ok(());
         }
         let mut branch_state = state.clone();
-        branch_state.put(key.clone(), make_id_relation(&base_rel, assignment)?);
+        branch_state.put(key.clone(), make_id_relation(base_rel, assignment)?);
         branch(cx, k, branch_state, threads, needed, i + 1, local)?;
     }
     Ok(())

@@ -414,13 +414,19 @@ fn materialize_id_relations(
     for (key, (base, grouping)) in needed {
         let rel = state
             .get(&PredKey::Ordinary(base))
-            .cloned()
             .ok_or_else(|| CoreError::Eval {
                 message: format!(
                     "ID-relation of {} requested before its base relation exists",
                     interner.resolve(base)
                 ),
             })?;
+        let oracle_failed = |message: String| CoreError::Internal {
+            clause: None,
+            message: format!(
+                "ID-oracle assignment for {}: {message}",
+                interner.resolve(base)
+            ),
+        };
         // The oracle is third-party code (trait object); contain its panics.
         // The failpoint sits inside the contained region so an injected
         // `panic` action exercises the same unwind path an oracle bug would.
@@ -428,7 +434,7 @@ fn materialize_id_relations(
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> Result<_, String> {
                 #[cfg(feature = "failpoints")]
                 idlog_common::failpoint::hit("oracle.assign")?;
-                Ok(oracle.assign(base, &grouping, &rel, interner))
+                Ok(oracle.assign(base, &grouping, rel, interner))
             }))
             .map_err(|payload| CoreError::Internal {
                 clause: None,
@@ -441,25 +447,20 @@ fn materialize_id_relations(
             .map_err(|message| CoreError::Internal {
                 clause: None,
                 message,
-            })?;
+            })?
+            .map_err(|e| oracle_failed(e.to_string()))?;
         if let Some(p) = prof.as_deref_mut() {
-            // Each group gets exactly one tid-0 tuple, so counting them
-            // counts the groups.
-            let groups = rel.iter().filter(|t| assignment.tid(t) == Some(0)).count() as u64;
             p.id_relations.push(IdRelationProfile {
                 name: interner.resolve(base),
                 grouping: grouping.clone(),
-                groups,
+                groups: assignment.group_count() as u64,
                 tuples: rel.len() as u64,
             });
         }
-        let id_rel = make_id_relation(&rel, &assignment).map_err(|e| CoreError::Internal {
-            clause: None,
-            message: format!("ID-oracle assignment for {}: {e}", interner.resolve(base)),
-        })?;
-        // `make_id_relation` builds on the (cheap-to-append) hash backend;
-        // convert in bulk so the ID-relation lives where its base does.
-        state.put(key, id_rel.to_backend(rel.backend_kind()));
+        // Built on the base relation's backend, in its scan order.
+        let id_rel =
+            make_id_relation(rel, &assignment).map_err(|e| oracle_failed(e.to_string()))?;
+        state.put(key, id_rel);
         stats.id_relations += 1;
     }
     Ok(())
@@ -581,6 +582,59 @@ mod tests {
         oracle.set("emp", vec![1], vec![vec![0], vec![1, 0]]);
         let out = run(&p, &db, &mut oracle).unwrap();
         assert_eq!(names(&out, "one_per_dept"), ["bob,sales", "cay,dev"]);
+    }
+
+    #[test]
+    fn explicit_oracle_non_bijection_is_an_internal_error() {
+        let (p, db) = setup(
+            "one_per_dept(N, D) :- emp[2](N, D, 0).",
+            &[
+                ("emp", &["ann", "sales"]),
+                ("emp", &["bob", "sales"]),
+                ("emp", &["cay", "dev"]),
+            ],
+        );
+        // Groups: dev = [cay], sales = [ann, bob].
+        for perms in [vec![vec![0], vec![0, 0]], vec![vec![5], vec![1, 0]]] {
+            let mut oracle = ExplicitOracle::new();
+            oracle.set("emp", vec![1], perms.clone());
+            match run(&p, &db, &mut oracle) {
+                Err(CoreError::Internal { message, .. }) => {
+                    assert!(message.contains("not a permutation"), "{message}")
+                }
+                other => panic!("{perms:?}: expected an internal error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn id_relation_scan_order_is_the_base_scan_order() {
+        // Facts inserted against name order, so canonical tid order and
+        // scan order disagree; the ID-relation still scans like its base.
+        let (p, db) = setup(
+            "pick(N) :- emp[2](N, D, 0).",
+            &[
+                ("emp", &["zed", "sales"]),
+                ("emp", &["bob", "sales"]),
+                ("emp", &["cay", "dev"]),
+                ("emp", &["ann", "sales"]),
+            ],
+        );
+        for backend in [BackendKind::Hash, BackendKind::Columnar] {
+            let out = evaluate_with_options(
+                &p,
+                &db,
+                &mut CanonicalOracle,
+                &EvalOptions::new().backend(backend),
+            )
+            .unwrap();
+            let base: Vec<Tuple> = out.relation("emp").unwrap().iter().cloned().collect();
+            let idr = out.id_relation("emp", &[1]).unwrap();
+            assert_eq!(idr.backend_kind(), backend);
+            let stripped: Vec<Tuple> = idr.iter().map(|t| t.project(&[0, 1])).collect();
+            assert_eq!(stripped, base, "{backend}");
+            assert_eq!(names(&out, "pick"), ["ann", "cay"]);
+        }
     }
 
     #[test]

@@ -11,27 +11,30 @@
 //!   distinct predicates draw from independent streams so adding a predicate
 //!   does not perturb the others.
 //! * [`ExplicitOracle`] — test fixture: explicit permutations per predicate,
-//!   falling back to canonical.
+//!   falling back to canonical. Permutations that are not bijections are
+//!   rejected.
 
 use std::hash::{Hash, Hasher};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use idlog_common::{FxHashMap, FxHasher, Interner, SymbolId};
+use idlog_common::{CommonResult, FxHashMap, FxHasher, Interner, SymbolId};
 use idlog_storage::{group_by, IdAssignment, Relation};
 
 /// Chooses ID-functions for materializing ID-relations.
 pub trait TidOracle {
     /// Produce the assignment for `pred`'s relation `rel` grouped by
-    /// `grouping` (0-based, ascending).
+    /// `grouping` (0-based, ascending). An oracle that cannot produce a
+    /// valid ID-function returns an error, which fails the evaluation with
+    /// [`crate::CoreError::Internal`].
     fn assign(
         &mut self,
         pred: SymbolId,
         grouping: &[usize],
         rel: &Relation,
         interner: &Interner,
-    ) -> IdAssignment;
+    ) -> CommonResult<IdAssignment>;
 }
 
 /// Deterministic oracle: canonical tid order.
@@ -45,8 +48,8 @@ impl TidOracle for CanonicalOracle {
         grouping: &[usize],
         rel: &Relation,
         interner: &Interner,
-    ) -> IdAssignment {
-        IdAssignment::canonical(rel, grouping, interner)
+    ) -> CommonResult<IdAssignment> {
+        Ok(IdAssignment::canonical(rel, grouping, interner))
     }
 }
 
@@ -70,7 +73,7 @@ impl TidOracle for SeededOracle {
         grouping: &[usize],
         rel: &Relation,
         interner: &Interner,
-    ) -> IdAssignment {
+    ) -> CommonResult<IdAssignment> {
         // Derive an independent stream per (pred name, grouping) so the
         // permutation of one predicate does not depend on evaluation order.
         // Hash the *name*, not the raw id, for interning-order independence.
@@ -79,14 +82,15 @@ impl TidOracle for SeededOracle {
         grouping.hash(&mut h);
         self.seed.hash(&mut h);
         let mut rng = SmallRng::seed_from_u64(h.finish());
-        IdAssignment::random(rel, grouping, interner, &mut rng)
+        Ok(IdAssignment::random(rel, grouping, interner, &mut rng))
     }
 }
 
 /// Test oracle with explicit per-predicate permutations.
 ///
 /// Permutations are keyed by `(predicate name, grouping)`; `perms[g][k]` is
-/// the tid of the `k`-th canonical member of the `g`-th canonical group.
+/// the tid of the `k`-th canonical member of the `g`-th canonical group, and
+/// each group's tids must be a permutation of `0..|group|`.
 /// Predicates without an entry fall back to the canonical assignment.
 #[derive(Debug, Clone, Default)]
 pub struct ExplicitOracle {
@@ -113,14 +117,14 @@ impl TidOracle for ExplicitOracle {
         grouping: &[usize],
         rel: &Relation,
         interner: &Interner,
-    ) -> IdAssignment {
+    ) -> CommonResult<IdAssignment> {
         let key = (interner.resolve(pred), grouping.to_vec());
         match self.perms.get(&key) {
             Some(perms) => {
                 let g = group_by(rel, grouping, interner);
                 IdAssignment::from_permutations(&g, perms)
             }
-            None => IdAssignment::canonical(rel, grouping, interner),
+            None => Ok(IdAssignment::canonical(rel, grouping, interner)),
         }
     }
 }
@@ -148,10 +152,10 @@ mod tests {
         let i = Interner::new();
         let r = rel(&i, &[("a", "c"), ("a", "d"), ("b", "c")]);
         let p = i.intern("r");
-        let a1 = CanonicalOracle.assign(p, &[0], &r, &i);
-        let a2 = CanonicalOracle.assign(p, &[0], &r, &i);
+        let a1 = CanonicalOracle.assign(p, &[0], &r, &i).unwrap();
+        let a2 = CanonicalOracle.assign(p, &[0], &r, &i).unwrap();
         assert_eq!(a1, a2);
-        assert_eq!(a1.tid(&t(&i, "a", "c")), Some(0));
+        assert_eq!(a1.tid(&r, &t(&i, "a", "c")), Some(0));
     }
 
     #[test]
@@ -166,11 +170,11 @@ mod tests {
             .collect();
         let r = rel(&i, &pairs_ref);
         let p = i.intern("r");
-        let a1 = SeededOracle::new(42).assign(p, &[0], &r, &i);
-        let a2 = SeededOracle::new(42).assign(p, &[0], &r, &i);
+        let a1 = SeededOracle::new(42).assign(p, &[0], &r, &i).unwrap();
+        let a2 = SeededOracle::new(42).assign(p, &[0], &r, &i).unwrap();
         assert_eq!(a1, a2);
         let differing = (0..64)
-            .filter(|&s| SeededOracle::new(s).assign(p, &[0], &r, &i) != a1)
+            .filter(|&s| SeededOracle::new(s).assign(p, &[0], &r, &i).unwrap() != a1)
             .count();
         assert!(differing > 0, "some seed must give a different permutation");
     }
@@ -182,12 +186,54 @@ mod tests {
         let p = i.intern("emp");
         let mut o = ExplicitOracle::new();
         o.set("emp", vec![0], vec![vec![1, 0], vec![0]]);
-        let a = o.assign(p, &[0], &r, &i);
-        assert_eq!(a.tid(&t(&i, "a", "c")), Some(1));
-        assert_eq!(a.tid(&t(&i, "a", "d")), Some(0));
+        let a = o.assign(p, &[0], &r, &i).unwrap();
+        assert_eq!(a.tid(&r, &t(&i, "a", "c")), Some(1));
+        assert_eq!(a.tid(&r, &t(&i, "a", "d")), Some(0));
         // Unknown predicate: canonical.
         let q = i.intern("other");
-        let a = o.assign(q, &[0], &r, &i);
-        assert_eq!(a.tid(&t(&i, "a", "c")), Some(0));
+        let a = o.assign(q, &[0], &r, &i).unwrap();
+        assert_eq!(a.tid(&r, &t(&i, "a", "c")), Some(0));
+    }
+
+    #[test]
+    fn explicit_oracle_rejects_non_bijections() {
+        let i = Interner::new();
+        let r = rel(&i, &[("a", "c"), ("a", "d"), ("b", "c")]);
+        let p = i.intern("emp");
+        for perms in [vec![vec![0, 0], vec![0]], vec![vec![1, 0], vec![5]]] {
+            let mut o = ExplicitOracle::new();
+            o.set("emp", vec![0], perms.clone());
+            let err = o.assign(p, &[0], &r, &i).unwrap_err();
+            assert!(
+                matches!(err, idlog_common::CommonError::Invariant { .. }),
+                "{perms:?}: {err}"
+            );
+        }
+    }
+
+    /// Seeded tids on a relation whose names are interned against name
+    /// order, pinned: the permutation drawn for each seed must not drift
+    /// when the grouping or assignment code changes.
+    #[test]
+    fn seeded_oracle_tids_are_pinned() {
+        let i = Interner::new();
+        let mut r = Relation::elementary(2);
+        for k in (0..12).rev() {
+            let t: Tuple = vec![
+                Value::Sym(i.intern(&format!("e{k:02}"))),
+                Value::Sym(i.intern(["sales", "dev", "ops"][k % 3])),
+            ]
+            .into();
+            r.insert(t).unwrap();
+        }
+        let p = i.intern("emp");
+        for (seed, want) in [
+            (42, [0, 1, 3, 1, 2, 2, 3, 3, 1, 2, 0, 0]),
+            (1991, [3, 3, 0, 0, 1, 2, 2, 2, 3, 1, 0, 1]),
+        ] {
+            let a = SeededOracle::new(seed).assign(p, &[1], &r, &i).unwrap();
+            let tids: Vec<i64> = r.iter().map(|t| a.tid(&r, t).unwrap()).collect();
+            assert_eq!(tids, want, "seed {seed}");
+        }
     }
 }

@@ -144,12 +144,12 @@ fn seeded_oracle_is_call_order_independent() {
 
     // Consult a then b…
     let mut o1 = SeededOracle::new(42);
-    let a_first = o1.assign(sym_a, &[0], a, &interner);
-    let b_second = o1.assign(sym_b, &[0], b, &interner);
+    let a_first = o1.assign(sym_a, &[0], a, &interner).unwrap();
+    let b_second = o1.assign(sym_b, &[0], b, &interner).unwrap();
     // …and b then a: per-(seed, name, grouping) streams must not shift.
     let mut o2 = SeededOracle::new(42);
-    let b_first = o2.assign(sym_b, &[0], b, &interner);
-    let a_second = o2.assign(sym_a, &[0], a, &interner);
+    let b_first = o2.assign(sym_b, &[0], b, &interner).unwrap();
+    let a_second = o2.assign(sym_a, &[0], a, &interner).unwrap();
 
     assert!(
         make_id_relation(a, &a_first)

@@ -73,7 +73,7 @@ impl Iterator for IdAssignmentIter {
 
     fn next(&mut self) -> Option<IdAssignment> {
         let perms = self.perms.as_mut()?;
-        let assignment = IdAssignment::from_permutations(&self.grouping, perms);
+        let assignment = IdAssignment::from_valid_permutations(&self.grouping, perms);
 
         // Odometer across groups: bump the last group; on wrap, reset it and
         // carry into the previous group.
@@ -233,7 +233,7 @@ fn bounded_assignment(grouping: &Grouping, selections: &[Vec<usize>]) -> IdAssig
             perm
         })
         .collect();
-    IdAssignment::from_permutations(grouping, &perms)
+    IdAssignment::from_valid_permutations(grouping, &perms)
 }
 
 #[cfg(test)]
@@ -271,9 +271,9 @@ mod tests {
             .iter()
             .map(|a| {
                 (
-                    a.tid(&t_ac).unwrap(),
-                    a.tid(&t_ad).unwrap(),
-                    a.tid(&t_bc).unwrap(),
+                    a.tid(&r, &t_ac).unwrap(),
+                    a.tid(&r, &t_ad).unwrap(),
+                    a.tid(&r, &t_bc).unwrap(),
                 )
             })
             .collect();
@@ -325,7 +325,7 @@ mod tests {
         let all: Vec<_> = IdAssignmentIter::new(&r, &[0, 1], &i).collect();
         assert_eq!(all.len(), 1);
         for t in r.iter() {
-            assert_eq!(all[0].tid(t), Some(0));
+            assert_eq!(all[0].tid(&r, t), Some(0));
         }
     }
 
@@ -377,7 +377,7 @@ mod tests {
             .map(|a| {
                 let t = r
                     .iter()
-                    .find(|t| a.tid(t) == Some(0))
+                    .find(|t| a.tid(&r, t) == Some(0))
                     .expect("every group has a tid-0 tuple");
                 i.resolve(t[1].as_sym().unwrap())
             })
@@ -397,7 +397,7 @@ mod tests {
         for a in &all {
             let find = |tid: i64| {
                 r.iter()
-                    .position(|t| a.tid(t) == Some(tid))
+                    .position(|t| a.tid(&r, t) == Some(tid))
                     .expect("prefix tid present") as i64
             };
             pairs.push((find(0), find(1)));

@@ -9,27 +9,26 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use idlog_common::{CommonError, CommonResult, FxHashMap, Interner, Tuple, Value};
+use idlog_common::{CommonError, CommonResult, Interner, Tuple, Value};
 
-use crate::group::{group_by, Grouping};
+use crate::group::{group_by, Grouping, ScanStamp};
 use crate::relation::Relation;
 
-/// How tids are drawn within each sub-relation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TidOrder {
-    /// Tid = rank of the tuple in canonical (name) order within its group.
-    /// Deterministic and interning-order independent.
-    Canonical,
-    /// A uniformly random permutation per group, drawn from the provided RNG.
-    Random,
-}
-
-/// A concrete choice of ID-functions: a map from each tuple of the base
-/// relation to its tid, for one grouping attribute set.
+/// A concrete choice of ID-functions for one grouping attribute set: the
+/// tid of every tuple of the base relation, aligned to the base relation's
+/// scan order.
+///
+/// The assignment records the base relation's length and an ordered
+/// fingerprint of its scan, so applying it to any other relation — or to
+/// the same tuples in another scan order — is rejected rather than
+/// mis-numbered.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IdAssignment {
     positions: Vec<usize>,
-    tids: FxHashMap<Tuple, i64>,
+    /// `tids[i]` is the tid of the base relation's `i`-th scanned tuple.
+    tids: Vec<u32>,
+    groups: usize,
+    base: ScanStamp,
 }
 
 impl IdAssignment {
@@ -37,10 +36,15 @@ impl IdAssignment {
     /// order (tid 0 = canonically smallest).
     pub fn canonical(rel: &Relation, positions: &[usize], interner: &Interner) -> Self {
         let grouping = group_by(rel, positions, interner);
-        Self::from_grouping_ranks(&grouping, |size| (0..size as i64).collect())
+        Self::fill(&grouping, |_, members, tids| {
+            for (k, &s) in members.iter().enumerate() {
+                tids[s as usize] = k as u32;
+            }
+        })
     }
 
-    /// Random assignment: an independent uniform permutation per group.
+    /// Random assignment: an independent uniform permutation per group,
+    /// drawn group by group in canonical group order.
     pub fn random<R: Rng>(
         rel: &Relation,
         positions: &[usize],
@@ -48,53 +52,78 @@ impl IdAssignment {
         rng: &mut R,
     ) -> Self {
         let grouping = group_by(rel, positions, interner);
-        Self::from_grouping_ranks(&grouping, |size| {
-            let mut perm: Vec<i64> = (0..size as i64).collect();
+        let mut perm: Vec<u32> = Vec::new();
+        Self::fill(&grouping, |_, members, tids| {
+            perm.clear();
+            perm.extend(0..members.len() as u32);
             perm.shuffle(rng);
-            perm
+            for (&s, &tid) in members.iter().zip(&perm) {
+                tids[s as usize] = tid;
+            }
         })
     }
 
     /// Build from an explicit permutation per group: `perms[g][k]` is the tid
-    /// of the `k`-th canonical member of group `g`. Panics if a permutation's
-    /// length disagrees with its group size (enumeration internals guarantee
-    /// consistency).
-    pub fn from_permutations(grouping: &Grouping, perms: &[Vec<i64>]) -> Self {
-        assert_eq!(
-            perms.len(),
-            grouping.group_count(),
-            "one permutation per group"
-        );
-        let mut tids = FxHashMap::default();
-        for (g, (_, _)) in grouping.iter().enumerate() {
-            let members = grouping.group(g);
-            assert_eq!(
-                perms[g].len(),
-                members.len(),
-                "permutation matches group size"
-            );
-            for (k, t) in members.iter().enumerate() {
-                tids.insert(t.clone(), perms[g][k]);
+    /// of the `k`-th canonical member of group `g`. Every group's tids must
+    /// be a permutation of `0..|group|` — an ID-function is a bijection — or
+    /// the result is a [`CommonError::Invariant`].
+    pub fn from_permutations(grouping: &Grouping, perms: &[Vec<i64>]) -> CommonResult<Self> {
+        let invalid = |detail: String| Err(CommonError::Invariant { detail });
+        if perms.len() != grouping.group_count() {
+            return invalid(format!(
+                "{} permutation(s) for {} group(s)",
+                perms.len(),
+                grouping.group_count()
+            ));
+        }
+        let mut taken: Vec<bool> = Vec::new();
+        for (g, (perm, members)) in perms.iter().zip(grouping.iter()).enumerate() {
+            let n = members.len();
+            if perm.len() != n {
+                return invalid(format!(
+                    "group {g} has {n} member(s) but its permutation lists {} tid(s)",
+                    perm.len()
+                ));
+            }
+            taken.clear();
+            taken.resize(n, false);
+            for &tid in perm {
+                match usize::try_from(tid).ok().filter(|&t| t < n && !taken[t]) {
+                    Some(t) => taken[t] = true,
+                    None => {
+                        return invalid(format!(
+                            "tids {perm:?} of group {g} are not a permutation of 0..{n}"
+                        ))
+                    }
+                }
             }
         }
-        IdAssignment {
-            positions: grouping.positions().to_vec(),
-            tids,
-        }
+        Ok(Self::from_valid_permutations(grouping, perms))
     }
 
-    fn from_grouping_ranks(grouping: &Grouping, mut ranks: impl FnMut(usize) -> Vec<i64>) -> Self {
-        let mut tids = FxHashMap::default();
-        for g in 0..grouping.group_count() {
-            let members = grouping.group(g);
-            let perm = ranks(members.len());
-            for (k, t) in members.iter().enumerate() {
-                tids.insert(t.clone(), perm[k]);
+    /// [`IdAssignment::from_permutations`] for permutations the caller
+    /// generated itself (the enumerators).
+    pub(crate) fn from_valid_permutations(grouping: &Grouping, perms: &[Vec<i64>]) -> Self {
+        Self::fill(grouping, |g, members, tids| {
+            debug_assert_eq!(perms[g].len(), members.len(), "permutation matches group");
+            for (&s, &tid) in members.iter().zip(&perms[g]) {
+                tids[s as usize] = tid as u32;
             }
+        })
+    }
+
+    /// Build by letting `fill(g, members, tids)` write the tid of each of
+    /// group `g`'s members (scan positions) into the scan-aligned `tids`.
+    fn fill(grouping: &Grouping, mut fill: impl FnMut(usize, &[u32], &mut [u32])) -> Self {
+        let mut tids = vec![0u32; grouping.base.len];
+        for (g, members) in grouping.iter().enumerate() {
+            fill(g, members, &mut tids);
         }
         IdAssignment {
             positions: grouping.positions().to_vec(),
             tids,
+            groups: grouping.group_count(),
+            base: grouping.base,
         }
     }
 
@@ -103,9 +132,15 @@ impl IdAssignment {
         &self.positions
     }
 
-    /// The tid assigned to `t`, if `t` was in the base relation.
-    pub fn tid(&self, t: &Tuple) -> Option<i64> {
-        self.tids.get(t).copied()
+    /// The tid assigned to `t`, if `t` is in `base` and `base` is the
+    /// relation this assignment was built from. A linear scan: for
+    /// inspection and tests, not for evaluation.
+    pub fn tid(&self, base: &Relation, t: &Tuple) -> Option<i64> {
+        if ScanStamp::of(base.iter()) != self.base {
+            return None;
+        }
+        let i = base.iter().position(|x| x == t)?;
+        Some(i64::from(self.tids[i]))
     }
 
     /// Number of tuples covered.
@@ -117,26 +152,41 @@ impl IdAssignment {
     pub fn is_empty(&self) -> bool {
         self.tids.is_empty()
     }
+
+    /// Number of sub-relations the tids were assigned within.
+    pub fn group_count(&self) -> usize {
+        self.groups
+    }
 }
 
 /// Materialize the ID-relation of `rel` under `assignment`: each tuple is
-/// extended with its tid as a trailing `i`-sorted column.
+/// extended with its tid as a trailing `i`-sorted column. The result keeps
+/// `rel`'s backend and its scan order, tuple for tuple.
 ///
-/// Errors if the assignment does not cover every tuple of `rel` — a buggy
-/// oracle must surface as a clean error, not take down the evaluation.
+/// Errors if the assignment was built for another relation (length or scan
+/// fingerprint differ) — a buggy oracle must surface as a clean error, not
+/// take down the evaluation.
 pub fn make_id_relation(rel: &Relation, assignment: &IdAssignment) -> CommonResult<Relation> {
-    let mut out = Relation::new(rel.rtype().id_version());
-    for t in rel.iter() {
-        let tid = assignment.tid(t).ok_or_else(|| CommonError::Invariant {
+    let stamp = ScanStamp::of(rel.iter());
+    if stamp != assignment.base {
+        return Err(CommonError::Invariant {
             detail: format!(
-                "ID-assignment covers {} tuple(s) but misses one of the base relation's {}",
-                assignment.len(),
-                rel.len()
+                "ID-assignment was built for a {}-tuple relation and does not cover this \
+                 {}-tuple one (scan fingerprint {:016x}, expected {:016x})",
+                assignment.base.len, stamp.len, stamp.fingerprint, assignment.base.fingerprint
             ),
-        })?;
-        out.insert_unchecked(t.with_appended(Value::Int(tid)));
+        });
     }
-    Ok(out)
+    let tuples: Vec<Tuple> = rel
+        .iter()
+        .zip(&assignment.tids)
+        .map(|(t, &tid)| t.with_appended(Value::Int(i64::from(tid))))
+        .collect();
+    Ok(Relation::from_distinct(
+        rel.rtype().id_version(),
+        rel.backend_kind(),
+        tuples,
+    ))
 }
 
 #[cfg(test)]
@@ -154,9 +204,9 @@ mod tests {
         r
     }
 
-    fn tid_of(i: &Interner, a: &IdAssignment, x: &str, y: &str) -> i64 {
+    fn tid_of(i: &Interner, r: &Relation, a: &IdAssignment, x: &str, y: &str) -> i64 {
         let t: Tuple = vec![Value::Sym(i.intern(x)), Value::Sym(i.intern(y))].into();
-        a.tid(&t).unwrap()
+        a.tid(r, &t).unwrap()
     }
 
     #[test]
@@ -168,9 +218,9 @@ mod tests {
         let i = Interner::new();
         let r = example1_relation(&i);
         let a = IdAssignment::canonical(&r, &[0], &i);
-        assert_eq!(tid_of(&i, &a, "a", "c"), 0);
-        assert_eq!(tid_of(&i, &a, "a", "d"), 1);
-        assert_eq!(tid_of(&i, &a, "b", "c"), 0);
+        assert_eq!(tid_of(&i, &r, &a, "a", "c"), 0);
+        assert_eq!(tid_of(&i, &r, &a, "a", "d"), 1);
+        assert_eq!(tid_of(&i, &r, &a, "b", "c"), 0);
     }
 
     #[test]
@@ -180,10 +230,10 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(7);
         let a = IdAssignment::random(&r, &[0], &i, &mut rng);
         // Group "a" has tids {0,1}; group "b" has {0}.
-        let mut tids_a = vec![tid_of(&i, &a, "a", "c"), tid_of(&i, &a, "a", "d")];
+        let mut tids_a = vec![tid_of(&i, &r, &a, "a", "c"), tid_of(&i, &r, &a, "a", "d")];
         tids_a.sort_unstable();
         assert_eq!(tids_a, vec![0, 1]);
-        assert_eq!(tid_of(&i, &a, "b", "c"), 0);
+        assert_eq!(tid_of(&i, &r, &a, "b", "c"), 0);
     }
 
     #[test]
@@ -201,7 +251,7 @@ mod tests {
         let i = Interner::new();
         let r = example1_relation(&i);
         let a = IdAssignment::canonical(&r, &[], &i);
-        let mut tids: Vec<i64> = r.iter().map(|t| a.tid(t).unwrap()).collect();
+        let mut tids: Vec<i64> = r.iter().map(|t| a.tid(&r, t).unwrap()).collect();
         tids.sort_unstable();
         assert_eq!(tids, vec![0, 1, 2]);
     }
@@ -212,10 +262,10 @@ mod tests {
         let r = example1_relation(&i);
         let g = group_by(&r, &[0], &i);
         // Swap the "a" group: (a,c)↦1, (a,d)↦0 — the paper's first listing.
-        let a = IdAssignment::from_permutations(&g, &[vec![1, 0], vec![0]]);
-        assert_eq!(tid_of(&i, &a, "a", "c"), 1);
-        assert_eq!(tid_of(&i, &a, "a", "d"), 0);
-        assert_eq!(tid_of(&i, &a, "b", "c"), 0);
+        let a = IdAssignment::from_permutations(&g, &[vec![1, 0], vec![0]]).unwrap();
+        assert_eq!(tid_of(&i, &r, &a, "a", "c"), 1);
+        assert_eq!(tid_of(&i, &r, &a, "a", "d"), 0);
+        assert_eq!(tid_of(&i, &r, &a, "b", "c"), 0);
     }
 
     #[test]
@@ -237,6 +287,72 @@ mod tests {
         let r = example1_relation(&i);
         let a = IdAssignment::canonical(&r, &[0], &i);
         let t: Tuple = vec![Value::Sym(i.intern("x")), Value::Sym(i.intern("y"))].into();
-        assert_eq!(a.tid(&t), None);
+        assert_eq!(a.tid(&r, &t), None);
+    }
+
+    #[test]
+    fn from_permutations_rejects_non_bijections() {
+        let i = Interner::new();
+        let r = example1_relation(&i);
+        let g = group_by(&r, &[0], &i);
+        for perms in [
+            vec![vec![0, 0], vec![0]],  // repeated tid
+            vec![vec![1, 0], vec![5]],  // tid out of range
+            vec![vec![0, -1], vec![0]], // negative tid
+            vec![vec![0, 1, 2], vec![0]],
+            vec![vec![0, 1]],
+        ] {
+            let err = IdAssignment::from_permutations(&g, &perms).unwrap_err();
+            assert!(
+                matches!(err, CommonError::Invariant { .. }),
+                "{perms:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn id_relation_keeps_the_base_scan_order() {
+        let i = Interner::new();
+        // Insert against name order so scan order and canonical order differ.
+        let mut r = Relation::elementary(2);
+        for (x, y) in [("b", "c"), ("a", "d"), ("a", "c")] {
+            r.insert(vec![Value::Sym(i.intern(x)), Value::Sym(i.intern(y))].into())
+                .unwrap();
+        }
+        let a = IdAssignment::canonical(&r, &[0], &i);
+        let idr = make_id_relation(&r, &a).unwrap();
+        let stripped: Vec<Tuple> = idr.iter().map(|t| t.project(&[0, 1])).collect();
+        let base: Vec<Tuple> = r.iter().cloned().collect();
+        assert_eq!(stripped, base);
+        let tids: Vec<Value> = idr.iter().map(|t| t[2]).collect();
+        assert_eq!(tids, [Value::Int(0), Value::Int(1), Value::Int(0)]);
+        assert_eq!(a.group_count(), 2);
+    }
+
+    #[test]
+    fn assignment_for_another_relation_of_the_same_size_is_rejected() {
+        let i = Interner::new();
+        let r = example1_relation(&i);
+        let a = IdAssignment::canonical(&r, &[0], &i);
+        // Same length, one tuple different.
+        let mut other = Relation::elementary(2);
+        for (x, y) in [("a", "c"), ("a", "d"), ("b", "z")] {
+            other
+                .insert(vec![Value::Sym(i.intern(x)), Value::Sym(i.intern(y))].into())
+                .unwrap();
+        }
+        assert!(make_id_relation(&other, &a).is_err());
+        // Same tuples, another scan order: scan-aligned tids would land on
+        // the wrong tuples, so this is rejected too.
+        let mut reordered = Relation::elementary(2);
+        for (x, y) in [("b", "c"), ("a", "d"), ("a", "c")] {
+            reordered
+                .insert(vec![Value::Sym(i.intern(x)), Value::Sym(i.intern(y))].into())
+                .unwrap();
+        }
+        assert!(reordered.set_eq(&r));
+        let err = make_id_relation(&reordered, &a).unwrap_err();
+        assert!(err.to_string().contains("invariant"), "{err}");
+        assert_eq!(a.tid(&reordered, &r.iter().next().unwrap().clone()), None);
     }
 }

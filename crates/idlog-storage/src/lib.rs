@@ -28,7 +28,6 @@ pub use enumerate::{
     count_bounded_assignments, count_id_functions, BoundedAssignmentIter, IdAssignmentIter,
 };
 pub use group::{group_by, Grouping};
-pub use idrel::TidOrder;
 pub use idrel::{make_id_relation, IdAssignment};
 pub use index::Index;
 pub use relation::Relation;

@@ -77,6 +77,17 @@ impl Relation {
         Ok(rel)
     }
 
+    /// Build on `kind` from tuples known to be distinct and well-typed, in
+    /// bulk: the hash backend hashes each tuple once and keeps their order.
+    pub(crate) fn from_distinct(rtype: RelType, kind: BackendKind, tuples: Vec<Tuple>) -> Self {
+        debug_assert!(tuples.iter().all(|t| t.arity() == rtype.arity()));
+        let backend = match kind {
+            BackendKind::Hash => BackendImpl::Hash(HashBackend::from_distinct(tuples)),
+            BackendKind::Columnar => BackendImpl::Columnar(ColumnarBackend::from_tuples(tuples)),
+        };
+        Relation { rtype, backend }
+    }
+
     /// The backend this relation stores its tuples in.
     pub fn backend_kind(&self) -> BackendKind {
         match &self.backend {
@@ -247,13 +258,17 @@ impl Relation {
     /// and interning orders.
     ///
     /// Implementation note: comparing through [`Tuple::cmp_canonical`] locks
-    /// the interner per comparison; instead symbols are ranked by name once
-    /// per call and tuples sorted by cheap integer keys.
+    /// the interner per comparison; instead symbols are ranked by name under
+    /// one lock and tuples sorted by flat integer keys (the same ranking
+    /// [`crate::group_by`] uses).
     pub fn sorted_canonical(&self, interner: &Interner) -> Vec<Tuple> {
-        let ranks = crate::group::symbol_ranks(self.iter(), interner);
-        let mut v: Vec<Tuple> = self.iter().cloned().collect();
-        v.sort_by_cached_key(|t| crate::group::canonical_key(t, &ranks));
-        v
+        let scan: Vec<&Tuple> = self.iter().collect();
+        let cols: Vec<usize> = (0..self.arity()).collect();
+        crate::group::Ranked::sort(&scan, &cols, interner)
+            .order
+            .iter()
+            .map(|&i| scan[i as usize].clone())
+            .collect()
     }
 
     /// Set-equality with another relation (types must match too). Works

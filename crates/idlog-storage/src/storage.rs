@@ -22,6 +22,8 @@
 //! byte-identical at any `--threads` value per backend — and the derived
 //! *sets* (and therefore all engine counters) are identical across backends.
 
+use std::collections::hash_map::Entry;
+
 use idlog_common::{FxHashMap, FxHashSet, RelType, Sort, Tuple};
 
 /// Which [`Storage`] implementation a relation uses.
@@ -264,16 +266,20 @@ fn proj_matches(t: &Tuple, positions: &[usize], key: &Tuple) -> bool {
 /// maintained offset indexes.
 ///
 /// `store` holds every tuple exactly once, in insertion order (which the
-/// engine makes deterministic). `seen` maps a tuple's hash to the store
-/// offsets carrying that hash — membership verifies equality against the
-/// store, so collisions are handled and no second copy of any tuple exists.
+/// engine makes deterministic). `seen` maps a tuple's hash to the one store
+/// offset carrying that hash; the rare further tuples with an equal 64-bit
+/// hash go to the `collisions` side table. Membership verifies equality
+/// against the store, so no second copy of any tuple exists, and no stored
+/// tuple costs a heap allocation of its own in the membership table — which
+/// keeps clones (input installation, enumeration branches) cheap.
 /// Each index maps a projection key to store offsets and is updated on
 /// every insert, fixing the former `Index::build`-per-round churn (full
 /// rebuild + per-key tuple clones each round).
 #[derive(Clone, Debug, Default)]
 pub struct HashBackend {
     store: Vec<Tuple>,
-    seen: FxHashMap<u64, Vec<u32>>,
+    seen: FxHashMap<u64, u32>,
+    collisions: FxHashMap<u64, Vec<u32>>,
     indexes: FxHashMap<Vec<usize>, FxHashMap<Tuple, Vec<u32>>>,
 }
 
@@ -293,13 +299,36 @@ impl HashBackend {
         b
     }
 
-    /// Offset the tuple is stored at, when present.
-    fn find(&self, t: &Tuple) -> Option<u32> {
-        let bucket = self.seen.get(&fx_hash(t))?;
-        bucket
+    /// Build from tuples known to be distinct, keeping their order: one
+    /// hash per tuple and no membership probe.
+    pub(crate) fn from_distinct(tuples: Vec<Tuple>) -> Self {
+        let mut b = Self::default();
+        b.store.reserve(tuples.len());
+        b.seen.reserve(tuples.len());
+        for t in tuples {
+            let hash = fx_hash(&t);
+            debug_assert!(b.find_hashed(&t, hash).is_none(), "duplicate tuple");
+            b.commit(t, hash);
+        }
+        b
+    }
+
+    /// Offset the tuple is stored at, when present; `hash` is its
+    /// [`fx_hash`].
+    fn find_hashed(&self, t: &Tuple, hash: u64) -> Option<u32> {
+        let first = *self.seen.get(&hash)?;
+        if self.store[first as usize] == *t {
+            return Some(first);
+        }
+        self.collisions
+            .get(&hash)?
             .iter()
             .copied()
             .find(|&o| self.store[o as usize] == *t)
+    }
+
+    fn find(&self, t: &Tuple) -> Option<u32> {
+        self.find_hashed(t, fx_hash(t))
     }
 
     /// Record a tuple known to be absent. Returns its offset.
@@ -309,7 +338,12 @@ impl HashBackend {
             "store offset overflow"
         );
         let off = self.store.len() as u32;
-        self.seen.entry(hash).or_default().push(off);
+        match self.seen.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(off);
+            }
+            Entry::Occupied(_) => self.collisions.entry(hash).or_default().push(off),
+        }
         for (positions, map) in &mut self.indexes {
             map.entry(t.project(positions)).or_default().push(off);
         }
@@ -328,10 +362,10 @@ impl Storage for HashBackend {
     }
 
     fn insert(&mut self, t: Tuple) -> bool {
-        if self.find(&t).is_some() {
+        let hash = fx_hash(&t);
+        if self.find_hashed(&t, hash).is_some() {
             return false;
         }
-        let hash = fx_hash(&t);
         self.commit(t, hash);
         true
     }
@@ -340,10 +374,10 @@ impl Storage for HashBackend {
         batch
             .iter()
             .map(|&t| {
-                if self.find(t).is_some() {
+                let hash = fx_hash(t);
+                if self.find_hashed(t, hash).is_some() {
                     false
                 } else {
-                    let hash = fx_hash(t);
                     self.commit(t.clone(), hash);
                     true
                 }
@@ -835,6 +869,39 @@ mod tests {
             assert!(!s.insert(t(&[i])));
         }
         assert_eq!(s.len(), 1000);
+    }
+
+    #[test]
+    fn equal_hashes_share_one_slot_plus_the_collision_table() {
+        // Forge one hash for three distinct tuples: the first takes the
+        // single-offset slot, the others the side table, and membership
+        // still tells them apart.
+        let mut s = HashBackend::new();
+        for n in 0..3 {
+            s.commit(t(&[n]), 42);
+        }
+        assert_eq!(s.seen.len(), 1);
+        assert_eq!(s.collisions[&42], vec![1, 2]);
+        for n in 0..3 {
+            assert_eq!(s.find_hashed(&t(&[n]), 42), Some(n as u32));
+        }
+        assert_eq!(s.find_hashed(&t(&[9]), 42), None);
+        // Real hashes: no collisions, so no side-table entries.
+        let mut s = HashBackend::new();
+        for n in 0..1000 {
+            s.insert(t(&[n]));
+        }
+        assert!(s.collisions.is_empty());
+    }
+
+    #[test]
+    fn from_distinct_keeps_order_and_membership() {
+        let tuples: Vec<Tuple> = [5, 1, 9, 3].iter().map(|&n| t(&[n])).collect();
+        let mut s = HashBackend::from_distinct(tuples.clone());
+        assert_eq!(s.scan().cloned().collect::<Vec<_>>(), tuples);
+        assert!(s.contains(&t(&[9])));
+        assert!(!s.insert(t(&[1])), "duplicate of a bulk-built tuple");
+        assert!(s.insert(t(&[2])));
     }
 
     #[test]

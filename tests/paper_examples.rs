@@ -41,7 +41,7 @@ fn example1_id_relations() {
                 idlog_core::Value::Sym(interner.intern(y)),
             ]
             .into();
-            assignment.tid(&t).unwrap()
+            assignment.tid(&r, &t).unwrap()
         };
         seen.push((tid("a", "c"), tid("a", "d"), tid("b", "c")));
     }
