@@ -165,46 +165,6 @@ mod tests {
         assert_eq!(src.matches("!=").count(), 3);
     }
 
-    /// Memory side of the `index_maintenance` before/after check: the
-    /// legacy [`idlog_storage::Index`] clones every tuple (plus a projected
-    /// key per distinct key) into its per-key vectors, while backend
-    /// indexes store one `u32` offset per tuple.
-    #[test]
-    fn offset_indexes_cost_a_fraction_of_legacy_clones() {
-        use idlog_common::{Tuple, Value};
-        use idlog_storage::Index;
-
-        let i = Arc::new(Interner::new());
-        let mut rel = idlog_core::Relation::elementary(2);
-        for k in 0..1000usize {
-            rel.insert(
-                vec![
-                    Value::Sym(i.intern(&format!("k{}", k % 32))),
-                    Value::Sym(i.intern(&format!("v{k}"))),
-                ]
-                .into(),
-            )
-            .unwrap();
-        }
-        let idx = Index::build(&rel, &[0]);
-        let cloned: usize = (0..32)
-            .map(|k| {
-                let key: Tuple = vec![Value::Sym(i.intern(&format!("k{k}")))].into();
-                idx.probe(&key).len()
-            })
-            .sum();
-        assert_eq!(cloned, rel.len(), "legacy index duplicates every tuple");
-
-        // Per-entry heap cost, in bytes: a cloned arity-2 tuple vs a u32
-        // offset into the tuple store.
-        let legacy = std::mem::size_of::<Tuple>() + 2 * std::mem::size_of::<Value>();
-        let offset = std::mem::size_of::<u32>();
-        assert!(
-            legacy >= 4 * offset,
-            "offset entries must be at least 4x smaller ({legacy} vs {offset} bytes)"
-        );
-    }
-
     #[test]
     fn run_canonical_works() {
         let i = Arc::new(Interner::new());

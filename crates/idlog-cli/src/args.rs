@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use idlog_core::{BackendKind, Strategy};
+use idlog_core::Strategy;
 
 /// Usage text for `--help` and argument errors.
 pub const USAGE: &str = "\
@@ -44,8 +44,6 @@ RUN OPTIONS:
   --max-rounds <n>    cap on semi-naive fixpoint rounds (deterministic:
                       trips at the same round for any --threads value)
   --max-tuples <n>    cap on newly derived tuples (deterministic)
-  --backend <name>    storage backend: hash (default) or columnar; results
-                      and statistics are identical across backends
   --strategy <name>   evaluation strategy: seminaive (default), naive, or
                       magic (goal-directed: rewrite with magic sets seeded
                       from query constants and derive only relevant facts;
@@ -144,8 +142,6 @@ pub struct RunOpts {
     pub max_rounds: Option<u64>,
     /// Cap on newly derived tuples.
     pub max_tuples: Option<u64>,
-    /// Storage backend (None = the engine default, hash).
-    pub backend: Option<BackendKind>,
     /// Evaluation strategy (None = the engine default, seminaive).
     pub strategy: Option<Strategy>,
 }
@@ -168,7 +164,6 @@ impl RunOpts {
             timeout: None,
             max_rounds: None,
             max_tuples: None,
-            backend: None,
             strategy: None,
         }
     }
@@ -399,7 +394,6 @@ impl Args {
                         "--max-tuples" => {
                             run.max_tuples = Some(parse_num(&mut it, "--max-tuples")?)
                         }
-                        "--backend" => run.backend = Some(parse_backend(&mut it)?),
                         "--strategy" => run.strategy = Some(parse_strategy(&mut it)?),
                         "--all" => run.all = true,
                         "--stats" => run.stats = true,
@@ -533,16 +527,6 @@ fn parse_threads<'a>(it: &mut impl Iterator<Item = &'a String>) -> Result<usize,
         return Err("--threads expects a positive number".to_string());
     }
     Ok(n)
-}
-
-/// Parse and validate a `--backend` value (shared by `run` and the REPL).
-pub fn parse_backend_name(name: &str) -> Result<BackendKind, String> {
-    BackendKind::parse(name)
-        .ok_or_else(|| format!("unknown backend {name:?} (expected hash or columnar)"))
-}
-
-fn parse_backend<'a>(it: &mut impl Iterator<Item = &'a String>) -> Result<BackendKind, String> {
-    parse_backend_name(&value(it, "--backend")?)
 }
 
 /// Parse and validate a `--strategy` value (shared by `run` and the REPL).
@@ -690,36 +674,9 @@ mod tests {
 
     #[test]
     fn usage_documents_exit_codes() {
-        for needle in [
-            "EXIT CODES",
-            "--timeout",
-            "--max-rounds",
-            "--max-tuples",
-            "--backend",
-        ] {
+        for needle in ["EXIT CODES", "--timeout", "--max-rounds", "--max-tuples"] {
             assert!(USAGE.contains(needle), "usage lost {needle}");
         }
-    }
-
-    #[test]
-    fn parses_backend_flag() {
-        let args = parse(&["run", "p.idl", "--output", "q", "--backend", "columnar"]).unwrap();
-        let Command::Run(run) = args.command else {
-            panic!("expected run");
-        };
-        assert_eq!(run.backend, Some(BackendKind::Columnar));
-        let args = parse(&["run", "p.idl", "--output", "q", "--backend", "hash"]).unwrap();
-        let Command::Run(run) = args.command else {
-            panic!("expected run");
-        };
-        assert_eq!(run.backend, Some(BackendKind::Hash));
-        assert!(parse(&["run", "p.idl", "--output", "q", "--backend", "btree"]).is_err());
-        assert!(parse(&["run", "p.idl", "--output", "q", "--backend"]).is_err());
-        let args = parse(&["run", "p.idl", "--output", "q"]).unwrap();
-        let Command::Run(run) = args.command else {
-            panic!("expected run");
-        };
-        assert_eq!(run.backend, None, "default is the engine's hash backend");
     }
 
     #[test]

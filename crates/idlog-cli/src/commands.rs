@@ -407,7 +407,6 @@ pub fn run_query(opts: &RunOpts) -> Result<(), CliError> {
     let interner = loaded.query.interner().clone();
     let want_profile = opts.profile || opts.profile_json.is_some() || opts.stats;
     let options = options_for(opts.threads)
-        .backend(opts.backend.unwrap_or_default())
         .strategy(opts.strategy.unwrap_or_default())
         .budget(default_budget(opts.max_models))
         .profile(want_profile)

@@ -17,10 +17,10 @@ use std::io::{BufRead, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
-use idlog_core::{BackendKind, EnumBudget, Interner, Query, Strategy, ValidatedProgram};
+use idlog_core::{EnumBudget, Interner, Query, Strategy, ValidatedProgram};
 use idlog_storage::Database;
 
-use crate::args::{parse_backend_name, parse_duration, parse_strategy_name};
+use crate::args::{parse_duration, parse_strategy_name};
 use crate::{options_for, oracle_for, signal};
 
 /// REPL state: accumulated rule sources and the fact database.
@@ -28,7 +28,7 @@ use crate::{options_for, oracle_for, signal};
 /// Robustness contract: a failed evaluation (limit trip, Ctrl-C, arithmetic
 /// overflow, even a contained engine panic) reports an `error:` line and
 /// leaves every piece of this state — rules, facts, `:seed`, `:threads`,
-/// `:profile`, `:timeout`, `:backend`, `:strategy` — exactly as it was.
+/// `:profile`, `:timeout`, `:strategy` — exactly as it was.
 struct Session {
     interner: Arc<Interner>,
     rules: Vec<String>,
@@ -37,7 +37,6 @@ struct Session {
     threads: Option<usize>,
     profile: bool,
     timeout: Option<Duration>,
-    backend: BackendKind,
     strategy: Strategy,
 }
 
@@ -52,7 +51,6 @@ pub fn run(input: &mut dyn BufRead, out: &mut dyn Write) -> Result<(), String> {
         threads: None,
         profile: false,
         timeout: None,
-        backend: BackendKind::default(),
         strategy: Strategy::default(),
     };
     let io = |e: std::io::Error| format!("i/o error: {e}");
@@ -96,8 +94,6 @@ const HELP: &str = "\
   :threads <n>       worker threads for evaluation (\":threads auto\" for the
                      default; answers never depend on the thread count)
   :profile on|off    print the per-rule evaluation profile after ?- queries
-  :backend <name>    storage backend: hash (default) or columnar; answers
-                     and statistics never depend on it
   :strategy <name>   evaluation strategy: seminaive (default), naive, or
                      magic (goal-directed; refused with a witness when the
                      relevance analysis cannot certify the query)
@@ -190,14 +186,6 @@ impl Session {
                     self.timeout = Some(d);
                     Ok(Reply::Text(format!("timeout: {}ms", d.as_millis())))
                 }
-            }
-            "backend" => {
-                let rest = rest.trim();
-                if !rest.is_empty() {
-                    self.backend =
-                        parse_backend_name(rest).map_err(|e| format!(":backend: {e}"))?;
-                }
-                Ok(Reply::Text(format!("backend: {}", self.backend)))
             }
             "strategy" => {
                 let rest = rest.trim();
@@ -327,9 +315,7 @@ impl Session {
         let program = ValidatedProgram::parse(&self.rules.join("\n"), Arc::clone(&self.interner))
             .map_err(|e| e.to_string())?;
         let query = Query::new(program, pred).map_err(|e| e.to_string())?;
-        let mut options = options_for(self.threads)
-            .backend(self.backend)
-            .strategy(self.strategy);
+        let mut options = options_for(self.threads).strategy(self.strategy);
         if let Some(t) = self.timeout {
             options = options.deadline(t);
         }
@@ -519,27 +505,6 @@ mod tests {
         assert!(out.contains("tc(a, c)") || out.contains("tc(a,c)"), "{out}");
         assert!(out.contains("threads: auto"), "{out}");
         assert!(out.contains("error:"), "{out}");
-    }
-
-    #[test]
-    fn backend_switching_and_query() {
-        let out = drive(
-            "e(a, b).\ne(b, c).\n\
-             tc(X, Y) :- e(X, Y).\n\
-             tc(X, Y) :- e(X, Z), tc(Z, Y).\n\
-             :backend columnar\n\
-             ?- tc.\n\
-             :backend\n\
-             :backend hash\n\
-             :backend btree\n\
-             :quit\n",
-        );
-        assert!(out.contains("backend: columnar"), "{out}");
-        assert!(out.contains("tc(a, c)"), "{out}");
-        assert!(out.contains("backend: hash"), "{out}");
-        assert!(out.contains("error: :backend:"), "{out}");
-        // The bare `:backend` after switching reports the current value.
-        assert_eq!(out.matches("backend: columnar").count(), 2, "{out}");
     }
 
     #[test]

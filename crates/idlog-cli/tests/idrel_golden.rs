@@ -7,7 +7,7 @@
 //! with symbol departments, one with integer departments) whose names are
 //! interned in reverse name order, so grouping and canonical tid order are
 //! exercised where interning order and name order disagree. Canonical and
-//! seeded oracles, both storage backends, and `--all` enumeration run.
+//! seeded oracles and `--all` enumeration run.
 //!
 //! Regenerate the golden file after an intentional output change with
 //! `UPDATE_GOLDEN=1 cargo test -p idlog-cli --test idrel_golden`.
@@ -114,11 +114,10 @@ fn idlog_programs_match_golden_runs() {
         ("dept_sizes.idl", dept_sizes.as_str(), "singleton"),
         ("dept_sizes.idl", dept_sizes.as_str(), "has_two"),
     ];
-    let modes: [(&str, &[&str]); 4] = [
+    let modes: [(&str, &[&str]); 3] = [
         ("canonical", &[]),
         ("seed 7", &["--seed", "7"]),
         ("seed 1991", &["--seed", "1991"]),
-        ("columnar", &["--backend", "columnar"]),
     ];
 
     let mut got = String::new();

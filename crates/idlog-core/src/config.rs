@@ -13,8 +13,6 @@
 use std::num::NonZeroUsize;
 use std::time::Duration;
 
-use idlog_storage::BackendKind;
-
 use crate::enumerate::EnumBudget;
 use crate::eval::Strategy;
 use crate::govern::Limits;
@@ -60,11 +58,6 @@ pub struct EvalOptions {
     /// Resource ceilings enforced by the [`crate::Governor`] (deadline,
     /// rounds, tuples, bytes). Unlimited by default.
     pub limits: Limits,
-    /// Storage backend for the relations the evaluation materializes
-    /// (IDB relations, ID-relations, and the working copies of the EDB).
-    /// Results and statistics are identical across backends; wall time and
-    /// memory layout are not.
-    pub backend: BackendKind,
 }
 
 impl EvalOptions {
@@ -78,7 +71,6 @@ impl EvalOptions {
             budget: EnumBudget::default(),
             det_fastpath: true,
             limits: Limits::none(),
-            backend: BackendKind::Hash,
         }
     }
 
@@ -114,12 +106,6 @@ impl EvalOptions {
     /// Toggle the certified-deterministic enumeration fast path.
     pub fn det_fastpath(mut self, det_fastpath: bool) -> Self {
         self.det_fastpath = det_fastpath;
-        self
-    }
-
-    /// Set the storage [`BackendKind`] for materialized relations.
-    pub fn backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -207,7 +193,6 @@ mod tests {
                 max_answers: 5,
             })
             .det_fastpath(false)
-            .backend(BackendKind::Columnar)
             .deadline(Duration::from_millis(250))
             .max_rounds(9)
             .max_tuples(1_000)
@@ -218,8 +203,6 @@ mod tests {
         assert_eq!(opts.budget.max_models, 7);
         assert_eq!(opts.budget.max_answers, 5);
         assert!(!opts.det_fastpath);
-        assert_eq!(opts.backend, BackendKind::Columnar);
-        assert_eq!(EvalOptions::new().backend, BackendKind::Hash);
         assert_eq!(opts.limits.deadline, Some(Duration::from_millis(250)));
         assert_eq!(opts.limits.max_rounds, Some(9));
         assert_eq!(opts.limits.max_tuples, Some(1_000));

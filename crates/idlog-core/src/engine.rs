@@ -1,10 +1,8 @@
 //! Semi-naive bottom-up execution of rule plans.
 //!
 //! [`EvalState`] stores one [`Relation`] per [`PredKey`] (ordinary predicates
-//! and materialized ID-relations). Each relation carries its own pluggable
-//! storage backend ([`idlog_storage::Storage`]): the engine talks to it only
-//! through scan / indexed probe / `delta_batch_insert`, so hash and columnar
-//! relations evaluate through identical code. A stratum is evaluated by
+//! and materialized ID-relations); the engine talks to each only through
+//! scan / indexed probe / `delta_batch_insert`. A stratum is evaluated by
 //! running every rule once in full, then iterating delta variants — each
 //! positive same-stratum atom step replayed against the newly derived tuples
 //! — until no new facts appear.
@@ -17,9 +15,7 @@
 //! worker's local `out` sink and local [`EvalStats`] are merged at the round
 //! barrier **in work-item order**. Delta shards are a function of the delta
 //! size only — never of the thread count — so answer relations and
-//! statistics are identical for any `threads` value. And because every
-//! engine counter is a function of relation *contents* (never of scan
-//! order), they are identical across backends too.
+//! statistics are identical for any `threads` value.
 
 use idlog_common::{FxHashMap, FxHashSet, SymbolId, Tuple, Value};
 use idlog_parser::Builtin;
@@ -36,9 +32,9 @@ use crate::stats::EvalStats;
 /// All relations (EDB, IDB, and materialized ID-relations) during one
 /// evaluation.
 ///
-/// Indexes live *inside* each relation's storage backend and are maintained
+/// Indexes live *inside* each relation's tuple store and are maintained
 /// incrementally on insert — there is no per-state index cache to rebuild
-/// (the former `Index::build`-per-round churn), and cloning the state (once
+/// each round, and cloning the state (once
 /// per enumeration branch) carries the indexes along, so branches never
 /// rebuild them either.
 #[derive(Debug, Default, Clone)]
@@ -75,8 +71,8 @@ impl EvalState {
 
     /// Ready every index the given plans will probe: each probing atom step
     /// gets [`Relation::ensure_index`] on its bound positions. A no-op once
-    /// the index exists — backends maintain indexes incrementally from then
-    /// on.
+    /// the index exists — relations maintain indexes incrementally from
+    /// then on.
     fn ensure_indexes(&mut self, plans: &[&RulePlan]) {
         for plan in plans {
             for step in &plan.steps {
@@ -103,7 +99,7 @@ impl EvalState {
     /// Rough, deterministic estimate of the bytes held by every stored
     /// relation (indexes are derived data and excluded). A pure function of
     /// relation sizes and types, so the governor's `max_bytes` ceiling
-    /// trips at the same round at any thread count, on any backend.
+    /// trips at the same round at any thread count.
     pub fn estimated_bytes(&self) -> u64 {
         self.rels.values().map(Relation::estimated_bytes).sum()
     }
@@ -450,8 +446,7 @@ fn absorb_contained(
 /// [`Relation::delta_batch_insert`]; return the per-predicate delta of new
 /// facts, in derivation order. Duplicates cost one membership check and no
 /// allocation; the delta holds the already-owned tuple, so a new fact is
-/// cloned exactly once (into the stored relation). Batching is what lets
-/// the columnar backend turn a round's derivations into one sorted run.
+/// cloned exactly once (into the stored relation).
 ///
 /// With `recs`, `derived`/`inserted` are also attributed to the work item
 /// that produced each tuple: `out` is the concatenation of per-item output
@@ -797,7 +792,7 @@ mod tests {
         let p = i.intern("p");
         let mut state = EvalState::new();
         state.put(PredKey::Ordinary(p), rel(&i, &["a", "b"]));
-        // Indexes now live inside each relation's backend and travel with
+        // Indexes now live inside each relation's store and travel with
         // the clone (enumeration branches reuse them instead of rebuilding).
         if let Some(r) = state.rels.get_mut(&PredKey::Ordinary(p)) {
             r.ensure_index(&[0]);

@@ -352,7 +352,7 @@ fn enumerate_impl(
         .collect();
 
     let mut state = EvalState::new();
-    eval::install_for_enumeration(&restricted, db, &mut state, options.backend)?;
+    eval::install_for_enumeration(&restricted, db, &mut state)?;
 
     // Footnote 6/7 optimization: ID-uses whose tids are provably bounded
     // enumerate k-prefix arrangements instead of full permutations.

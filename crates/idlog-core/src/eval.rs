@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use idlog_common::{FxHashMap, FxHashSet, Interner, SymbolId};
-use idlog_storage::{make_id_relation, BackendKind, Database, Relation};
+use idlog_storage::{make_id_relation, Database, Relation};
 
 use crate::config::EvalOptions;
 use crate::engine::{eval_stratum, eval_stratum_naive, EvalState};
@@ -168,13 +168,12 @@ pub fn evaluate_governed(
     let mut state = EvalState::new();
     let mut profile = options.profile.then(|| Profile::for_program(program));
 
-    install_inputs(program, db, &mut state, options.backend).map_err(EvalError::Core)?;
+    install_inputs(program, db, &mut state).map_err(EvalError::Core)?;
     install_idb(
         program,
         &refine_sorts(program, db).map_err(EvalError::Core)?,
         db,
         &mut state,
-        options.backend,
     )
     .map_err(EvalError::Core)?;
 
@@ -262,7 +261,6 @@ pub(crate) fn install_for_enumeration(
     program: &ValidatedProgram,
     db: &Database,
     state: &mut EvalState,
-    backend: BackendKind,
 ) -> CoreResult<()> {
     if !Arc::ptr_eq(program.interner(), db.interner()) {
         return Err(CoreError::Input {
@@ -271,8 +269,8 @@ pub(crate) fn install_for_enumeration(
                 .into(),
         });
     }
-    install_inputs(program, db, state, backend)?;
-    install_idb(program, &refine_sorts(program, db)?, db, state, backend)?;
+    install_inputs(program, db, state)?;
+    install_idb(program, &refine_sorts(program, db)?, db, state)?;
     Ok(())
 }
 
@@ -303,13 +301,11 @@ fn refine_sorts(program: &ValidatedProgram, db: &Database) -> CoreResult<SortMap
 }
 
 /// Copy input relations from the database (or create empty ones), checking
-/// arity and constrained sorts. The working copies are converted to the
-/// requested storage backend in bulk — the database itself stays untouched.
+/// arity and constrained sorts. The database itself stays untouched.
 fn install_inputs(
     program: &ValidatedProgram,
     db: &Database,
     state: &mut EvalState,
-    backend: BackendKind,
 ) -> CoreResult<()> {
     let interner = program.interner();
     for &pred in program.inputs() {
@@ -338,14 +334,14 @@ fn install_inputs(
                         }
                     }
                 }
-                state.put(PredKey::Ordinary(pred), rel.clone().to_backend(backend));
+                state.put(PredKey::Ordinary(pred), rel.clone());
             }
             None => {
                 let rtype = program
                     .sorts()
                     .rel_type(pred)
                     .expect("arity known implies type known");
-                state.put(PredKey::Ordinary(pred), Relation::new_in(rtype, backend));
+                state.put(PredKey::Ordinary(pred), Relation::new(rtype));
             }
         }
     }
@@ -361,7 +357,6 @@ fn install_idb(
     refined: &SortMap,
     db: &Database,
     state: &mut EvalState,
-    backend: BackendKind,
 ) -> CoreResult<()> {
     for &pred in program.idb() {
         if db.relation_by_id(pred).is_some_and(|r| !r.is_empty()) {
@@ -377,7 +372,7 @@ fn install_idb(
             .rel_type(pred)
             .or_else(|| program.sorts().rel_type(pred))
             .expect("IDB predicate has a type");
-        state.put(PredKey::Ordinary(pred), Relation::new_in(rtype, backend));
+        state.put(PredKey::Ordinary(pred), Relation::new(rtype));
     }
     Ok(())
 }
@@ -457,7 +452,7 @@ fn materialize_id_relations(
                 tuples: rel.len() as u64,
             });
         }
-        // Built on the base relation's backend, in its scan order.
+        // Built in the base relation's scan order.
         let id_rel =
             make_id_relation(rel, &assignment).map_err(|e| oracle_failed(e.to_string()))?;
         state.put(key, id_rel);
@@ -620,21 +615,12 @@ mod tests {
                 ("emp", &["ann", "sales"]),
             ],
         );
-        for backend in [BackendKind::Hash, BackendKind::Columnar] {
-            let out = evaluate_with_options(
-                &p,
-                &db,
-                &mut CanonicalOracle,
-                &EvalOptions::new().backend(backend),
-            )
-            .unwrap();
-            let base: Vec<Tuple> = out.relation("emp").unwrap().iter().cloned().collect();
-            let idr = out.id_relation("emp", &[1]).unwrap();
-            assert_eq!(idr.backend_kind(), backend);
-            let stripped: Vec<Tuple> = idr.iter().map(|t| t.project(&[0, 1])).collect();
-            assert_eq!(stripped, base, "{backend}");
-            assert_eq!(names(&out, "pick"), ["ann", "cay"]);
-        }
+        let out = run(&p, &db, &mut CanonicalOracle).unwrap();
+        let base: Vec<Tuple> = out.relation("emp").unwrap().iter().cloned().collect();
+        let idr = out.id_relation("emp", &[1]).unwrap();
+        let stripped: Vec<Tuple> = idr.iter().map(|t| t.project(&[0, 1])).collect();
+        assert_eq!(stripped, base);
+        assert_eq!(names(&out, "pick"), ["ann", "cay"]);
     }
 
     #[test]

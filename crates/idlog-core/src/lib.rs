@@ -85,4 +85,4 @@ pub use tid::{CanonicalOracle, ExplicitOracle, SeededOracle, TidOracle};
 // Re-export the pieces callers need to build inputs and read outputs.
 pub use idlog_common::{Interner, Json, RelType, Sort, SymbolId, Tuple, Value};
 pub use idlog_parser::{parse_clause, parse_program, Program};
-pub use idlog_storage::{BackendKind, Database, Relation, Storage};
+pub use idlog_storage::{Database, Relation};

@@ -837,7 +837,6 @@ fn old_try_tuple(
 mod tests {
     use super::*;
     use crate::query::Query;
-    use idlog_storage::BackendKind;
 
     /// Drive a program through a change script, asserting after every step
     /// that the maintained state matches a fresh canonical evaluation on
@@ -848,14 +847,13 @@ mod tests {
         output: &str,
         initial: &[(&str, &[&str])],
         script: &[(Op, &str, &[&str])],
-        backend: BackendKind,
     ) -> Vec<MaintainOutcome> {
         let q = Query::parse(src, output).unwrap();
         let mut db = q.new_database();
         for (pred, cols) in initial {
             db.insert_syms(pred, cols).unwrap();
         }
-        let options = EvalOptions::new().backend(backend);
+        let options = EvalOptions::new();
         let mut mat = Materialized::build(q.related_program(), &db, &options).unwrap();
         let mut outcomes = Vec::new();
         for (op, pred, cols) in script {
@@ -916,66 +914,58 @@ mod tests {
 
     #[test]
     fn transitive_closure_inserts_are_incremental() {
-        for backend in [BackendKind::Hash, BackendKind::Columnar] {
-            let outcomes = check_equivalence(
-                TC,
-                "tc",
-                &[("e", &["a", "b"])],
-                &[
-                    (Op::Ins, "e", &["b", "c"]),
-                    (Op::Ins, "e", &["c", "d"]),
-                    (Op::Ins, "e", &["d", "a"]), // closes a cycle
-                    (Op::Ins, "e", &["a", "b"]), // duplicate: no-op
-                ],
-                backend,
-            );
-            assert_eq!(
-                outcomes,
-                [
-                    MaintainOutcome::Incremental,
-                    MaintainOutcome::Incremental,
-                    MaintainOutcome::Incremental,
-                    MaintainOutcome::Unchanged,
-                ],
-                "{backend:?}"
-            );
-        }
+        let outcomes = check_equivalence(
+            TC,
+            "tc",
+            &[("e", &["a", "b"])],
+            &[
+                (Op::Ins, "e", &["b", "c"]),
+                (Op::Ins, "e", &["c", "d"]),
+                (Op::Ins, "e", &["d", "a"]), // closes a cycle
+                (Op::Ins, "e", &["a", "b"]), // duplicate: no-op
+            ],
+        );
+        assert_eq!(
+            outcomes,
+            [
+                MaintainOutcome::Incremental,
+                MaintainOutcome::Incremental,
+                MaintainOutcome::Incremental,
+                MaintainOutcome::Unchanged,
+            ],
+        );
     }
 
     #[test]
     fn transitive_closure_deletes_rederive() {
-        for backend in [BackendKind::Hash, BackendKind::Columnar] {
-            // A diamond: a→b→d and a→c→d; deleting a→b must keep tc(a,d)
-            // through the other path (the rederivation case DRed exists for).
-            let outcomes = check_equivalence(
-                TC,
-                "tc",
-                &[
-                    ("e", &["a", "b"]),
-                    ("e", &["b", "d"]),
-                    ("e", &["a", "c"]),
-                    ("e", &["c", "d"]),
-                    ("e", &["d", "e"]),
-                ],
-                &[
-                    (Op::Del, "e", &["a", "b"]),
-                    (Op::Del, "e", &["c", "d"]), // now tc(a,d) really dies
-                    (Op::Del, "e", &["x", "y"]), // absent: no-op
-                    (Op::Ins, "e", &["a", "d"]), // resurrect directly
-                ],
-                backend,
-            );
-            assert_eq!(
-                outcomes,
-                [
-                    MaintainOutcome::Incremental,
-                    MaintainOutcome::Incremental,
-                    MaintainOutcome::Unchanged,
-                    MaintainOutcome::Incremental,
-                ],
-                "{backend:?}"
-            );
-        }
+        // A diamond: a→b→d and a→c→d; deleting a→b must keep tc(a,d)
+        // through the other path (the rederivation case DRed exists for).
+        let outcomes = check_equivalence(
+            TC,
+            "tc",
+            &[
+                ("e", &["a", "b"]),
+                ("e", &["b", "d"]),
+                ("e", &["a", "c"]),
+                ("e", &["c", "d"]),
+                ("e", &["d", "e"]),
+            ],
+            &[
+                (Op::Del, "e", &["a", "b"]),
+                (Op::Del, "e", &["c", "d"]), // now tc(a,d) really dies
+                (Op::Del, "e", &["x", "y"]), // absent: no-op
+                (Op::Ins, "e", &["a", "d"]), // resurrect directly
+            ],
+        );
+        assert_eq!(
+            outcomes,
+            [
+                MaintainOutcome::Incremental,
+                MaintainOutcome::Incremental,
+                MaintainOutcome::Unchanged,
+                MaintainOutcome::Incremental,
+            ],
+        );
     }
 
     #[test]
@@ -999,7 +989,6 @@ mod tests {
                 (Op::Ins, "node", &["d"]),   // unreachable node → far gains d
                 (Op::Del, "start", &["a"]),  // nothing reachable at all
             ],
-            BackendKind::Hash,
         );
         assert!(outcomes.iter().all(|o| *o == MaintainOutcome::Incremental));
     }

@@ -125,13 +125,6 @@ impl<'q, 'd> Session<'q, 'd> {
         self
     }
 
-    /// Set the storage backend for materialized relations (see
-    /// [`EvalOptions::backend`]).
-    pub fn backend(mut self, backend: idlog_storage::BackendKind) -> Self {
-        self.options = self.options.backend(backend);
-        self
-    }
-
     /// Set the enumeration budget for [`Session::all_answers`].
     pub fn budget(mut self, budget: EnumBudget) -> Self {
         self.options = self.options.budget(budget);

@@ -731,8 +731,7 @@ pub fn magic_program(
 /// in a guarded clause of the transformed program, the number of stored
 /// tuples the magic guard's bindings (and the atom's constants) rule out of
 /// the join. Computed post-hoc from the final relations, so it is
-/// byte-identical across thread counts and backends, and `0` when nothing
-/// was prunable.
+/// byte-identical across thread counts, and `0` when nothing was prunable.
 pub fn magic_tuples_pruned(magic: &ValidatedProgram, db: &Database, out: &EvalOutput) -> u64 {
     let interner = magic.interner();
     let mut projections: FxHashMap<(SymbolId, usize), FxHashSet<Value>> = FxHashMap::default();

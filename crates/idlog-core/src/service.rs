@@ -15,7 +15,7 @@
 use std::time::Duration;
 
 use idlog_common::{Interner, Json, Tuple, Value};
-use idlog_storage::{BackendKind, Relation};
+use idlog_storage::Relation;
 
 use crate::error::ErrorCode;
 use crate::eval::Strategy;
@@ -111,8 +111,6 @@ pub struct RunRequest {
     pub seed: Option<u64>,
     /// Worker-thread count (`None`/`0` = auto).
     pub threads: Option<usize>,
-    /// Storage backend override for materialized relations.
-    pub backend: Option<BackendKind>,
     /// Evaluation strategy override. `magic` asks for goal-directed
     /// evaluation and is refused (with the relevance witness) when the
     /// query is not a certified point query.
@@ -139,7 +137,6 @@ impl RunRequest {
             all: false,
             seed: None,
             threads: None,
-            backend: None,
             strategy: None,
             timeout_ms: None,
             max_rounds: None,
@@ -250,13 +247,12 @@ impl Request {
                         .ok_or_else(|| format!("run request needs a string \"{k}\" field"))?
                         .to_string())
                 };
-                let backend = match j.get("backend").and_then(Json::as_str) {
-                    None => None,
-                    Some(name) => Some(
-                        BackendKind::parse(name)
-                            .ok_or_else(|| format!("unknown backend {name:?}"))?,
-                    ),
-                };
+                // Schema-2 clients may still name the one storage backend.
+                match j.get("backend") {
+                    None => {}
+                    Some(b) if b.as_str() == Some("hash") => {}
+                    Some(_) => return Err("only backend \"hash\" is supported".to_string()),
+                }
                 let strategy = match j.get("strategy").and_then(Json::as_str) {
                     None => None,
                     Some(name) => Some(
@@ -271,7 +267,6 @@ impl Request {
                     all: j.get("all").and_then(Json::as_bool).unwrap_or(false),
                     seed: j.get("seed").and_then(Json::as_u64),
                     threads: j.get("threads").and_then(Json::as_u64).map(|n| n as usize),
-                    backend,
                     strategy,
                     timeout_ms: j.get("timeout_ms").and_then(Json::as_u64),
                     max_rounds: j.get("max_rounds").and_then(Json::as_u64),
@@ -338,9 +333,6 @@ impl Request {
                 }
                 if let Some(t) = r.threads {
                     put("threads", Json::int(t as u64));
-                }
-                if let Some(b) = r.backend {
-                    put("backend", Json::str(b.name()));
                 }
                 if let Some(s) = r.strategy {
                     put("strategy", Json::str(s.name()));
@@ -621,8 +613,7 @@ impl Response {
 /// canonical (name-based) order, each value displayed and comma-joined.
 /// A pure function of relation *content*, so any two states holding the
 /// same relation — materialized, incrementally maintained, or freshly
-/// evaluated, on either backend, at any thread count — render byte-
-/// identically.
+/// evaluated, at any thread count — render byte-identically.
 pub fn render_answers(rel: &Relation, interner: &Interner) -> Vec<String> {
     rel.sorted_canonical(interner)
         .iter()
@@ -650,7 +641,6 @@ mod tests {
         r.all = true;
         r.seed = Some(7);
         r.threads = Some(2);
-        r.backend = Some(BackendKind::Columnar);
         r.timeout_ms = Some(250);
         r.max_rounds = Some(10);
         r.max_tuples = Some(1000);
@@ -659,6 +649,7 @@ mod tests {
         r.strategy = Some(Strategy::Magic);
         let line = Request::Run(r.clone()).to_json();
         assert!(line.contains("\"strategy\":\"magic\""), "{line}");
+        assert!(!line.contains("backend"), "{line}");
         assert_eq!(Request::parse(&line).unwrap(), Request::Run(r.clone()));
         // The ceiling fields map onto Limits.
         let limits = r.limits();
@@ -757,10 +748,13 @@ mod tests {
             Request::parse(r#"{"op":"insert","tenant":"t","pred":"p","tuple":[1.5]}"#).is_err(),
             "non-integer numbers are not fact values"
         );
-        assert!(Request::parse(
-            r#"{"op":"run","tenant":"t","program":"p(a).","output":"p","backend":"flash"}"#
-        )
-        .is_err());
+        for backend in [r#""flash""#, r#""columnar""#, "1"] {
+            let line = format!(
+                r#"{{"op":"run","tenant":"t","program":"p(a).","output":"p","backend":{backend}}}"#
+            );
+            let err = Request::parse(&line).unwrap_err();
+            assert!(err.contains(r#"only backend "hash""#), "{backend}: {err}");
+        }
         assert!(Request::parse(
             r#"{"op":"run","tenant":"t","program":"p(a).","output":"p","strategy":"earley"}"#
         )

@@ -29,7 +29,7 @@ pub struct EvalStats {
     pub id_relations: u64,
     /// Stored EDB tuples the magic guards excluded from joins (zero except
     /// under `strategy=magic`; computed post-hoc from the final relations,
-    /// so it is identical across thread counts and backends).
+    /// so it is identical across thread counts).
     pub tuples_pruned: u64,
 }
 

@@ -10,22 +10,15 @@
 //!    only. Work items merge at the round barrier in work-item order, so
 //!    relations, statistics, *and* profiles (wall time excepted) are
 //!    identical for any thread count.
-//! 3. **Across storage backends**: `EvalOptions::backend` changes physical
-//!    layout only. Every statistic is a function of relation *contents*
-//!    (sets), never of scan order, so the hash and columnar backends
-//!    produce the same relations and the same [`EvalStats`].
 
 use std::sync::Arc;
 
 use idlog_core::tid::TidOracle;
 use idlog_core::{
-    enumerate_with_options, evaluate_with_options, BackendKind, CanonicalOracle, EnumBudget,
-    EvalOptions, EvalOutput, Interner, SeededOracle, Strategy, ValidatedProgram,
+    enumerate_with_options, evaluate_with_options, CanonicalOracle, EnumBudget, EvalOptions,
+    EvalOutput, Interner, SeededOracle, Strategy, ValidatedProgram,
 };
 use idlog_storage::{make_id_relation, Database};
-
-/// Both storage backends; determinism suites sweep this axis.
-const BACKENDS: [BackendKind; 2] = [BackendKind::Hash, BackendKind::Columnar];
 
 fn setup(src: &str, facts: &[(&str, &[&str])]) -> (ValidatedProgram, Database) {
     let interner = Arc::new(Interner::new());
@@ -170,35 +163,23 @@ fn thread_count_changes_nothing_on_recursion() {
     // Deltas of 272 and 256 tuples exceed the parallel-round threshold, so
     // the scoped-pool path really runs (sharded) at 2 and 8 threads.
     let (program, db) = two_layer_tree();
-    for backend in BACKENDS {
-        let baseline = evaluate_with_options(
+    let baseline =
+        evaluate_with_options(&program, &db, &mut CanonicalOracle, &EvalOptions::serial()).unwrap();
+    // 272 edges + 256 root→leaf paths.
+    assert_eq!(
+        baseline.relation("tc").unwrap().len(),
+        528,
+        "fixture sanity"
+    );
+    for threads in [2usize, 8] {
+        let par = evaluate_with_options(
             &program,
             &db,
             &mut CanonicalOracle,
-            &EvalOptions::serial().backend(backend),
+            &EvalOptions::new().threads(threads),
         )
         .unwrap();
-        // 272 edges + 256 root→leaf paths.
-        assert_eq!(
-            baseline.relation("tc").unwrap().len(),
-            528,
-            "fixture sanity"
-        );
-        for threads in [2usize, 8] {
-            let par = evaluate_with_options(
-                &program,
-                &db,
-                &mut CanonicalOracle,
-                &EvalOptions::new().threads(threads).backend(backend),
-            )
-            .unwrap();
-            assert_same_output(
-                &baseline,
-                &par,
-                &["tc"],
-                &format!("{threads} threads, {backend} backend"),
-            );
-        }
+        assert_same_output(&baseline, &par, &["tc"], &format!("{threads} threads"));
     }
 }
 
@@ -226,33 +207,28 @@ fn thread_count_changes_nothing_on_multi_rule_strata() {
     ];
     let rels = ["reach", "alt", "dead", "pick"];
     for strategy in [Strategy::SemiNaive, Strategy::Naive] {
-        for backend in BACKENDS {
-            let (program, db) = setup(src, facts);
-            let baseline = evaluate_with_options(
+        let (program, db) = setup(src, facts);
+        let baseline = evaluate_with_options(
+            &program,
+            &db,
+            &mut SeededOracle::new(3),
+            &EvalOptions::serial().strategy(strategy),
+        )
+        .unwrap();
+        for threads in [2usize, 8] {
+            let par = evaluate_with_options(
                 &program,
                 &db,
                 &mut SeededOracle::new(3),
-                &EvalOptions::serial().strategy(strategy).backend(backend),
+                &EvalOptions::new().threads(threads).strategy(strategy),
             )
             .unwrap();
-            for threads in [2usize, 8] {
-                let par = evaluate_with_options(
-                    &program,
-                    &db,
-                    &mut SeededOracle::new(3),
-                    &EvalOptions::new()
-                        .threads(threads)
-                        .strategy(strategy)
-                        .backend(backend),
-                )
-                .unwrap();
-                assert_same_output(
-                    &baseline,
-                    &par,
-                    &rels,
-                    &format!("{threads} threads, {strategy:?}, {backend} backend"),
-                );
-            }
+            assert_same_output(
+                &baseline,
+                &par,
+                &rels,
+                &format!("{threads} threads, {strategy:?}"),
+            );
         }
     }
 }
@@ -269,68 +245,19 @@ fn enumeration_is_identical_across_thread_counts() {
     let serial =
         enumerate_with_options(&program, &db, "man", &EvalOptions::serial().budget(budget))
             .unwrap();
-    for backend in BACKENDS {
-        for threads in [1usize, 2, 8] {
-            let par = enumerate_with_options(
-                &program,
-                &db,
-                "man",
-                &EvalOptions::new()
-                    .threads(threads)
-                    .budget(budget)
-                    .backend(backend),
-            )
-            .unwrap();
-            assert!(
-                serial.same_answers(&par, program.interner()),
-                "answer set differs at {threads} threads on the {backend} backend"
-            );
-            assert_eq!(serial.models_explored(), par.models_explored());
-        }
-    }
-}
-
-#[test]
-fn backends_agree_on_relations_and_stats() {
-    // The third reproducibility axis: hash and columnar storage hold the
-    // same sets, so every run produces the same relations and EvalStats —
-    // at every thread count. (idlog-suite asserts the same over the
-    // `programs/*.idl` corpus.)
-    type Fixture = fn() -> (ValidatedProgram, Database);
-    let cases: [(&str, Fixture, &[&str]); 2] = [
-        ("two_layer_tree", two_layer_tree, &["tc"]),
-        (
-            "multi_id",
-            || setup(MULTI_ID_SRC, MULTI_ID_FACTS),
-            &["first_a", "first_b", "first_c", "agree"],
-        ),
-    ];
-    for (name, fixture, rels) in cases {
-        let (program, db) = fixture();
-        let hash = evaluate_with_options(
+    for threads in [1usize, 2, 8] {
+        let par = enumerate_with_options(
             &program,
             &db,
-            &mut SeededOracle::new(11),
-            &EvalOptions::serial().backend(BackendKind::Hash),
+            "man",
+            &EvalOptions::new().threads(threads).budget(budget),
         )
         .unwrap();
-        for threads in [1usize, 2, 4] {
-            let columnar = evaluate_with_options(
-                &program,
-                &db,
-                &mut SeededOracle::new(11),
-                &EvalOptions::new()
-                    .threads(threads)
-                    .backend(BackendKind::Columnar),
-            )
-            .unwrap();
-            assert_same_output(
-                &hash,
-                &columnar,
-                rels,
-                &format!("{name}: hash/serial vs columnar/{threads} threads"),
-            );
-        }
+        assert!(
+            serial.same_answers(&par, program.interner()),
+            "answer set differs at {threads} threads"
+        );
+        assert_eq!(serial.models_explored(), par.models_explored());
     }
 }
 
@@ -421,19 +348,9 @@ fn builtin_overflow_error_is_identical_across_thread_counts() {
             message: "arithmetic overflow".into()
         }
     );
-    for backend in BACKENDS {
-        for threads in [2usize, 8] {
-            let par = q
-                .session(&db)
-                .threads(threads)
-                .backend(backend)
-                .run()
-                .unwrap_err();
-            assert_eq!(
-                serial, par,
-                "overflow error differs at {threads} threads on {backend}"
-            );
-        }
+    for threads in [2usize, 8] {
+        let par = q.session(&db).threads(threads).run().unwrap_err();
+        assert_eq!(serial, par, "overflow error differs at {threads} threads");
     }
     // Run-to-run too.
     assert_eq!(serial, q.session(&db).threads(8).run().unwrap_err());

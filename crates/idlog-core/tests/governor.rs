@@ -5,10 +5,7 @@
 
 use std::time::Duration;
 
-use idlog_core::{BackendKind, CancelToken, EvalError, LimitKind, Limits, Query};
-
-/// Both storage backends; limit trips must be identical across them.
-const BACKENDS: [BackendKind; 2] = [BackendKind::Hash, BackendKind::Columnar];
+use idlog_core::{CancelToken, EvalError, LimitKind, Limits, Query};
 
 /// A program whose fixpoint diverges: `count` grows by one every round,
 /// forever. Theorem 3 of the paper says we cannot detect this statically —
@@ -27,28 +24,25 @@ fn round_limit_returns_partial_result_identically_at_any_thread_count() {
     let q = Query::parse(DIVERGE, "count").unwrap();
     let db = q.new_database();
     let mut snapshots = Vec::new();
-    for backend in BACKENDS {
-        for threads in [1usize, 2, 8] {
-            let err = q
-                .session(&db)
-                .threads(threads)
-                .backend(backend)
-                .limits(rounds_limit(10))
-                .try_run()
-                .unwrap_err();
-            let EvalError::Limit { limit, partial } = err else {
-                panic!("expected Limit at {threads} threads");
-            };
-            assert_eq!(limit, LimitKind::Rounds);
-            let rel = partial.relation("count").expect("partial carries output");
-            let tuples: Vec<String> = rel
-                .sorted_canonical(q.interner())
-                .iter()
-                .map(|t| t.display(q.interner()).to_string())
-                .collect();
-            assert!(!tuples.is_empty(), "partial result must not be empty");
-            snapshots.push((tuples, partial.stats()));
-        }
+    for threads in [1usize, 2, 8] {
+        let err = q
+            .session(&db)
+            .threads(threads)
+            .limits(rounds_limit(10))
+            .try_run()
+            .unwrap_err();
+        let EvalError::Limit { limit, partial } = err else {
+            panic!("expected Limit at {threads} threads");
+        };
+        assert_eq!(limit, LimitKind::Rounds);
+        let rel = partial.relation("count").expect("partial carries output");
+        let tuples: Vec<String> = rel
+            .sorted_canonical(q.interner())
+            .iter()
+            .map(|t| t.display(q.interner()).to_string())
+            .collect();
+        assert!(!tuples.is_empty(), "partial result must not be empty");
+        snapshots.push((tuples, partial.stats()));
     }
     // Same facts, same counters, regardless of parallelism or storage.
     for (i, snap) in snapshots.iter().enumerate().skip(1) {
@@ -65,25 +59,22 @@ fn tuple_limit_trips_deterministically() {
     let q = Query::parse(DIVERGE, "count").unwrap();
     let db = q.new_database();
     let mut snapshots = Vec::new();
-    for backend in BACKENDS {
-        for threads in [1usize, 2, 8] {
-            let err = q
-                .session(&db)
-                .threads(threads)
-                .backend(backend)
-                .limits(Limits {
-                    max_tuples: Some(7),
-                    ..Limits::none()
-                })
-                .try_run()
-                .unwrap_err();
-            let EvalError::Limit { limit, partial } = err else {
-                panic!("expected Limit at {threads} threads");
-            };
-            assert_eq!(limit, LimitKind::Tuples);
-            let rel = partial.relation("count").expect("partial carries output");
-            snapshots.push((rel.len(), partial.stats()));
-        }
+    for threads in [1usize, 2, 8] {
+        let err = q
+            .session(&db)
+            .threads(threads)
+            .limits(Limits {
+                max_tuples: Some(7),
+                ..Limits::none()
+            })
+            .try_run()
+            .unwrap_err();
+        let EvalError::Limit { limit, partial } = err else {
+            panic!("expected Limit at {threads} threads");
+        };
+        assert_eq!(limit, LimitKind::Tuples);
+        let rel = partial.relation("count").expect("partial carries output");
+        snapshots.push((rel.len(), partial.stats()));
     }
     for (i, snap) in snapshots.iter().enumerate().skip(1) {
         assert_eq!(&snapshots[0], snap, "snapshot {i} diverged");
@@ -113,9 +104,8 @@ fn byte_limit_trips_on_divergence() {
 }
 
 /// The byte estimate is a pure function of (len, arity, sorts) — no hashes,
-/// no capacities, no backend internals — so a symbol-heavy diverging
-/// program trips `max_bytes` at the *same round* for every thread count and
-/// every storage backend.
+/// no capacities, no store internals — so a symbol-heavy diverging program
+/// trips `max_bytes` at the *same round* for every thread count.
 #[test]
 fn byte_limit_trips_at_the_same_round_for_symbol_heavy_programs() {
     let sym_src = "seedy(alpha). seedy(beta). seedy(gamma).
@@ -128,21 +118,18 @@ fn byte_limit_trips_at_the_same_round_for_symbol_heavy_programs() {
     let q = Query::parse(sym_src, "count").unwrap();
     let db = q.new_database();
     let mut rounds = Vec::new();
-    for backend in BACKENDS {
-        for threads in [1usize, 2, 8] {
-            let err = q
-                .session(&db)
-                .threads(threads)
-                .backend(backend)
-                .limits(limits)
-                .try_run()
-                .unwrap_err();
-            let EvalError::Limit { limit, partial } = err else {
-                panic!("expected Limit at {threads} threads on {backend}");
-            };
-            assert_eq!(limit, LimitKind::Bytes);
-            rounds.push((partial.stats().iterations, partial.stats()));
-        }
+    for threads in [1usize, 2, 8] {
+        let err = q
+            .session(&db)
+            .threads(threads)
+            .limits(limits)
+            .try_run()
+            .unwrap_err();
+        let EvalError::Limit { limit, partial } = err else {
+            panic!("expected Limit at {threads} threads");
+        };
+        assert_eq!(limit, LimitKind::Bytes);
+        rounds.push((partial.stats().iterations, partial.stats()));
     }
     for (i, r) in rounds.iter().enumerate().skip(1) {
         assert_eq!(&rounds[0], r, "trip round {i} diverged");

@@ -8,8 +8,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use idlog_core::{
-    builtins::solve, enumerate_with_options, evaluate_with_options, BackendKind, CanonicalOracle,
-    EnumBudget, EvalOptions, Interner, Query, SeededOracle, ValidatedProgram,
+    builtins::solve, enumerate_with_options, evaluate_with_options, CanonicalOracle, EnumBudget,
+    EvalOptions, Interner, Query, SeededOracle, ValidatedProgram,
 };
 use idlog_parser::Builtin;
 use idlog_storage::Database;
@@ -304,8 +304,8 @@ proptest! {
 proptest! {
     /// Builtin failures are part of the determinism contract: whether a
     /// random arithmetic program overflows — and the exact error it
-    /// overflows with — is identical at 1, 2, and 8 threads, on either
-    /// storage backend, and matches run-to-run.
+    /// overflows with — is identical at 1, 2, and 8 threads, and matches
+    /// run-to-run.
     #[test]
     fn overflow_outcome_is_thread_count_invariant(
         offsets in proptest::collection::vec(0i64..200, 1..40),
@@ -319,23 +319,21 @@ proptest! {
         }
         idlog_core::load_facts(&facts, &mut db).unwrap();
         let serial = q.session(&db).threads(1).run();
-        for backend in [BackendKind::Hash, BackendKind::Columnar] {
-            for threads in [1usize, 2, 8] {
-                let par = q.session(&db).threads(threads).backend(backend).run();
-                match (&serial, &par) {
-                    (Ok(a), Ok(b)) => {
-                        prop_assert!(
-                            a.relation.set_eq(&b.relation),
-                            "{threads} threads, {backend}"
-                        );
-                        prop_assert_eq!(a.stats, b.stats, "{} threads, {}", threads, backend);
-                    }
-                    (Err(a), Err(b)) => prop_assert_eq!(a, b, "{} threads, {}", threads, backend),
-                    _ => prop_assert!(
-                        false,
-                        "Ok/Err disagreement at {threads} threads on {backend}"
-                    ),
+        for threads in [1usize, 2, 8] {
+            let par = q.session(&db).threads(threads).run();
+            match (&serial, &par) {
+                (Ok(a), Ok(b)) => {
+                    prop_assert!(
+                        a.relation.set_eq(&b.relation),
+                        "{threads} threads"
+                    );
+                    prop_assert_eq!(a.stats, b.stats, "{} threads", threads);
                 }
+                (Err(a), Err(b)) => prop_assert_eq!(a, b, "{} threads", threads),
+                _ => prop_assert!(
+                    false,
+                    "Ok/Err disagreement at {threads} threads"
+                ),
             }
         }
     }

@@ -6,8 +6,7 @@
 //! this module exposes the rewrite at the optimizer's program level — the
 //! same shape as [`crate::push_projections`] and [`crate::to_id_program`] —
 //! and hosts the certified-equivalence tests that validate it against the
-//! untransformed program on randomized databases, across thread counts and
-//! storage backends.
+//! untransformed program on randomized databases, across thread counts.
 //!
 //! The rewrite either returns the transformed program or the
 //! [`RelevanceRefusal`] witness explaining why goal-directed evaluation is
@@ -60,7 +59,6 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     use idlog_core::{EnumBudget, EvalStats, Query, Strategy, ValidatedProgram};
-    use idlog_storage::BackendKind;
 
     use crate::equivalence::{q_equivalent_on, random_databases};
 
@@ -99,37 +97,33 @@ mod tests {
     }
 
     /// Direct and magic evaluation of `src` must produce byte-identical
-    /// answers and identical stats at 1/2/8 threads on both backends.
+    /// answers and identical stats at 1/2/8 threads.
     fn assert_magic_agrees(src: &str, output: &str, db: &idlog_storage::Database, q: &Query) {
         let mut stats_seen: Option<(EvalStats, EvalStats)> = None;
-        for backend in [BackendKind::Hash, BackendKind::Columnar] {
-            for threads in [1usize, 2, 8] {
-                let direct = q
-                    .session(db)
-                    .backend(backend)
-                    .threads(threads)
-                    .run()
-                    .unwrap_or_else(|e| panic!("direct failed on {src}: {e}"));
-                let magic = q
-                    .session(db)
-                    .backend(backend)
-                    .threads(threads)
-                    .strategy(Strategy::Magic)
-                    .run()
-                    .unwrap_or_else(|e| panic!("magic failed on {src}: {e}"));
-                assert_eq!(
-                    direct.relation.sorted_canonical(q.interner()),
-                    magic.relation.sorted_canonical(q.interner()),
-                    "answers diverge for {output} in {src}"
-                );
-                // Stats are part of the determinism contract: identical
-                // across thread counts and backends, pruned ≥ 0 by type.
-                match &stats_seen {
-                    None => stats_seen = Some((direct.stats, magic.stats)),
-                    Some((d, m)) => {
-                        assert_eq!(*d, direct.stats, "direct stats drift in {src}");
-                        assert_eq!(*m, magic.stats, "magic stats drift in {src}");
-                    }
+        for threads in [1usize, 2, 8] {
+            let direct = q
+                .session(db)
+                .threads(threads)
+                .run()
+                .unwrap_or_else(|e| panic!("direct failed on {src}: {e}"));
+            let magic = q
+                .session(db)
+                .threads(threads)
+                .strategy(Strategy::Magic)
+                .run()
+                .unwrap_or_else(|e| panic!("magic failed on {src}: {e}"));
+            assert_eq!(
+                direct.relation.sorted_canonical(q.interner()),
+                magic.relation.sorted_canonical(q.interner()),
+                "answers diverge for {output} in {src}"
+            );
+            // Stats are part of the determinism contract: identical
+            // across thread counts, pruned ≥ 0 by type.
+            match &stats_seen {
+                None => stats_seen = Some((direct.stats, magic.stats)),
+                Some((d, m)) => {
+                    assert_eq!(*d, direct.stats, "direct stats drift in {src}");
+                    assert_eq!(*m, magic.stats, "magic stats drift in {src}");
                 }
             }
         }

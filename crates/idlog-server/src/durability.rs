@@ -281,7 +281,7 @@ pub enum Decoded {
 
 /// Ceiling on one record's payload (a fact is small; anything bigger is
 /// corruption masquerading as a length).
-const MAX_PAYLOAD: u32 = 1 << 24;
+pub(crate) const MAX_PAYLOAD: u32 = 1 << 24;
 
 /// Decode the frame at the start of `buf`. Never panics: any malformed
 /// region — truncated length prefix, short payload, CRC mismatch, bad

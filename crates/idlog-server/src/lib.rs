@@ -69,6 +69,13 @@ pub const DEFAULT_CHECKPOINT_EVERY: u64 = 1024;
 /// retrying client converges quickly.
 pub const RETRY_AFTER_MS: u64 = 100;
 
+/// Longest request line [`Server::run`] reads, newline included. A longer
+/// line gets a `protocol` error and its connection is closed, so one client
+/// cannot grow server memory without bound. Twice the WAL's record payload
+/// ceiling: every change the WAL can record fits in a request, with room
+/// for JSON escaping and the envelope.
+pub const MAX_REQUEST_LINE: usize = 2 * durability::MAX_PAYLOAD as usize;
+
 /// Change-log ceiling per tenant. A cached view that falls further behind
 /// than this is evicted (it rebuilds from the database on next use) so the
 /// log can compact — otherwise one never-requeried view would pin every
@@ -344,9 +351,6 @@ impl Tenant {
                 let mut opts = EvalOptions::new();
                 if let Some(t) = r.threads {
                     opts = opts.threads(t);
-                }
-                if let Some(b) = r.backend {
-                    opts = opts.backend(b);
                 }
                 match Materialized::build(entry.query.related_program(), &self.db, &opts) {
                     Ok(view) => {
@@ -667,9 +671,6 @@ impl Registry {
         if let Some(threads) = r.threads {
             session = session.threads(threads);
         }
-        if let Some(backend) = r.backend {
-            session = session.backend(backend);
-        }
         if let Some(strategy) = r.strategy {
             // A `magic` request on an uncertified query fails here with the
             // relevance witness; the cached `Query` already carries the
@@ -841,7 +842,6 @@ impl Server {
 /// discard the response line the client is about to read.
 fn shed(stream: TcpStream) {
     thread::spawn(move || {
-        use std::io::Read;
         let _ = stream.set_nodelay(true);
         let resp = Response {
             retry_after_ms: Some(RETRY_AFTER_MS),
@@ -850,25 +850,39 @@ fn shed(stream: TcpStream) {
                 "admission queue full; retry after the hinted backoff",
             )
         };
-        let mut writer = BufWriter::new(&stream);
-        if writeln!(writer, "{}", resp.to_json()).is_err() || writer.flush().is_err() {
-            return;
-        }
-        drop(writer);
-        let _ = stream.shutdown(std::net::Shutdown::Write);
-        let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(200)));
-        let mut sink = [0u8; 256];
-        let mut stream = stream;
-        while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+        answer_and_close(&stream, &resp);
     });
+}
+
+/// Write a final response line, then close without an RST: shut down the
+/// write half and drain what the client already sent until it closes, goes
+/// quiet for 200ms, or a second passes — dropping a socket with unread data
+/// raises an RST that can discard the response line the client is about to
+/// read.
+fn answer_and_close(stream: &TcpStream, resp: &Response) {
+    use std::io::Read;
+    use std::time::{Duration, Instant};
+    let mut writer = BufWriter::new(stream);
+    if writeln!(writer, "{}", resp.to_json()).is_err() || writer.flush().is_err() {
+        return;
+    }
+    drop(writer);
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+    let deadline = Instant::now() + Duration::from_secs(1);
+    let mut sink = [0u8; 4096];
+    let mut stream = stream;
+    while Instant::now() < deadline && matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
 }
 
 /// Answer one connection's requests until EOF or shutdown.
 ///
 /// Reads run under a short timeout so a worker parked on an idle keep-alive
 /// connection still observes a shutdown within a beat and lets
-/// [`Server::run`] join the pool.
+/// [`Server::run`] join the pool. A line longer than [`MAX_REQUEST_LINE`]
+/// is answered with a `protocol` error and ends the connection.
 fn serve_connection(stream: TcpStream, registry: &Registry, addr: SocketAddr) {
+    use std::io::Read;
     // Request/response lines are tiny; without TCP_NODELAY, Nagle batching
     // against the peer's delayed ACK adds tens of milliseconds per round
     // trip even on loopback.
@@ -879,9 +893,12 @@ fn serve_connection(stream: TcpStream, registry: &Registry, addr: SocketAddr) {
         Err(_) => return,
     };
     let mut writer = BufWriter::new(stream);
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
+        // Read at most one byte past the cap, so an oversized line is
+        // detected without buffering more of it.
+        let room = (MAX_REQUEST_LINE + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => break,
             Ok(_) => {}
             // A timeout leaves any partial read appended to `line`; poll
@@ -899,12 +916,23 @@ fn serve_connection(stream: TcpStream, registry: &Registry, addr: SocketAddr) {
             }
             Err(_) => break,
         }
-        let request = line.trim().to_string();
+        if line.len() > MAX_REQUEST_LINE {
+            let resp = Response::error(
+                ErrorCode::Protocol,
+                format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
+            );
+            answer_and_close(writer.get_ref(), &resp);
+            break;
+        }
+        let request = std::str::from_utf8(&line).map(|l| l.trim().to_string());
         line.clear();
-        if request.is_empty() {
+        if request.as_ref().is_ok_and(String::is_empty) {
             continue;
         }
-        let response = match Request::parse(&request) {
+        let response = match request
+            .map_err(|_| "request line is not UTF-8".to_string())
+            .and_then(|r| Request::parse(&r))
+        {
             // A panicking handler (engine invariant failure, injected
             // fault) must cost its own request, not the worker thread:
             // contain it, answer with a clean internal error, and let

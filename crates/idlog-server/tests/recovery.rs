@@ -11,7 +11,7 @@ use idlog_core::service::{render_answers, FactValue, Request, Response, RunReque
 use idlog_core::{ErrorCode, Query};
 use idlog_server::durability::{self, scan_wal};
 use idlog_server::{Client, Server, ServerConfig, SyncPolicy, DEFAULT_WORKERS, RETRY_AFTER_MS};
-use idlog_storage::{BackendKind, Database};
+use idlog_storage::Database;
 
 const TC: &str = "t(X, Y) :- e(X, Y).\nt(X, Z) :- t(X, Y), e(Y, Z).";
 
@@ -86,18 +86,13 @@ fn served_answers(c: &mut Client, tenant: &str) -> Vec<String> {
 /// What a fresh, single-threaded, direct [`idlog_core::Session`] renders
 /// over the same edges — the reference the recovered server must match
 /// byte for byte.
-fn direct_answers(edges: &[(&str, &str)], backend: BackendKind) -> Vec<String> {
+fn direct_answers(edges: &[(&str, &str)]) -> Vec<String> {
     let query = Query::parse(TC, "t").expect("parse");
     let mut db = Database::with_interner(query.interner().clone());
     for (a, b) in edges {
         db.insert_syms("e", &[a, b]).expect("insert");
     }
-    let out = query
-        .session(&db)
-        .threads(1)
-        .backend(backend)
-        .run()
-        .expect("run");
+    let out = query.session(&db).threads(1).run().expect("run");
     render_answers(&out.relation, query.interner())
 }
 
@@ -118,12 +113,11 @@ fn a_cold_restart_recovers_every_acknowledged_write() {
     }
 
     // Restart over the same directory: answers equal a fresh direct
-    // Session on both storage backends.
+    // Session.
     let (addr, handle) = start_with(durable_config(&dir), 4);
     let mut c = client(addr);
     let recovered = served_answers(&mut c, "acme");
-    assert_eq!(recovered, direct_answers(&edges, BackendKind::Hash));
-    assert_eq!(recovered, direct_answers(&edges, BackendKind::Columnar));
+    assert_eq!(recovered, direct_answers(&edges));
     let stats = c
         .request(&Request::Stats {
             tenant: "acme".into(),
@@ -173,9 +167,9 @@ fn a_hand_torn_wal_tail_is_truncated_to_the_acknowledged_prefix() {
         let answers = served_answers(&mut c, "t");
         let expected = match damage {
             // The second insert's record was torn: only edge a→b remains.
-            "truncate" => direct_answers(&[("a", "b")], BackendKind::Hash),
+            "truncate" => direct_answers(&[("a", "b")]),
             // Garbage after intact records: nothing acknowledged is lost.
-            _ => direct_answers(&[("a", "b")], BackendKind::Hash),
+            _ => direct_answers(&[("a", "b")]),
         };
         assert_eq!(answers, expected, "{damage}");
         // Recovery repaired the file in place: a rescan finds no tear.
@@ -331,6 +325,6 @@ fn in_memory_servers_still_work_without_a_data_dir() {
     let mut c = client(addr);
     insert(&mut c, "t", "e", &["a", "b"]);
     let answers = served_answers(&mut c, "t");
-    assert_eq!(answers, direct_answers(&[("a", "b")], BackendKind::Hash));
+    assert_eq!(answers, direct_answers(&[("a", "b")]));
     shutdown(addr, handle);
 }

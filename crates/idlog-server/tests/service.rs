@@ -7,8 +7,8 @@ use std::thread;
 
 use idlog_core::service::{render_answers, FactValue, Request, Response, RunRequest, ServeMode};
 use idlog_core::{ErrorCode, LimitKind, Query};
-use idlog_server::{Client, Server, DEFAULT_WORKERS};
-use idlog_storage::{BackendKind, Database};
+use idlog_server::{Client, Server, DEFAULT_WORKERS, MAX_REQUEST_LINE};
+use idlog_storage::Database;
 
 const TC: &str = "t(X, Y) :- e(X, Y).\nt(X, Z) :- t(X, Y), e(Y, Z).";
 
@@ -214,33 +214,86 @@ fn served_answers_are_identical_across_backends_and_thread_counts() {
             ("c".into(), "d".into()),
         ],
     );
-    for backend in [BackendKind::Hash, BackendKind::Columnar] {
-        for threads in [1, 4] {
-            // Materialized path (fresh tenant-equivalent query text per
-            // combination keeps each request a clean build).
-            let mut req = RunRequest::new("x", TC, "t");
-            req.backend = Some(backend);
-            req.threads = Some(threads);
-            let served = c.request(&Request::Run(req.clone())).expect("run");
-            assert_eq!(served.exit, 0);
-            assert_eq!(
-                served.answers.as_deref(),
-                Some(&expected[..]),
-                "materialized, backend={backend:?} threads={threads}"
-            );
-            // Fresh path: the same request with a (generous) limit skips
-            // the cache and evaluates from a snapshot.
-            req.max_rounds = Some(1_000_000);
-            let fresh = c.request(&Request::Run(req)).expect("run");
-            assert_eq!(fresh.exit, 0);
-            assert_eq!(fresh.mode, Some(ServeMode::Fresh));
-            assert_eq!(
-                fresh.answers.as_deref(),
-                Some(&expected[..]),
-                "fresh, backend={backend:?} threads={threads}"
-            );
-        }
+    for threads in [1, 4] {
+        // Materialized path (fresh tenant-equivalent query text per
+        // combination keeps each request a clean build).
+        let mut req = RunRequest::new("x", TC, "t");
+        req.threads = Some(threads);
+        let served = c.request(&Request::Run(req.clone())).expect("run");
+        assert_eq!(served.exit, 0);
+        assert_eq!(
+            served.answers.as_deref(),
+            Some(&expected[..]),
+            "materialized, threads={threads}"
+        );
+        // Fresh path: the same request with a (generous) limit skips
+        // the cache and evaluates from a snapshot.
+        req.max_rounds = Some(1_000_000);
+        let fresh = c.request(&Request::Run(req)).expect("run");
+        assert_eq!(fresh.exit, 0);
+        assert_eq!(fresh.mode, Some(ServeMode::Fresh));
+        assert_eq!(
+            fresh.answers.as_deref(),
+            Some(&expected[..]),
+            "fresh, threads={threads}"
+        );
     }
+    shutdown(addr, handle);
+}
+
+#[test]
+fn hash_backend_field_is_accepted_and_answers_are_unchanged() {
+    let (addr, handle) = start();
+    let mut c = client(addr);
+    for (a, b) in [("a", "b"), ("b", "c"), ("c", "a")] {
+        insert(&mut c, "h", "e", &[a, b]);
+    }
+    // Schema-2 clients may still send `"backend":"hash"`; the answer line
+    // must be byte-identical to the same request without the field (the
+    // cache state is the same for both: the first request builds the view).
+    let bare = Request::Run(RunRequest::new("h", TC, "t")).to_json();
+    let named = format!(r#"{},"backend":"hash"}}"#, bare.strip_suffix('}').unwrap());
+    c.request_raw(&bare).expect("warm the cache");
+    let without = c.request_raw(&bare).expect("run");
+    let with = c.request_raw(&named).expect("run");
+    assert_eq!(with, without);
+    assert_eq!(Response::parse(&with).unwrap().exit, 0);
+    // Any other backend is a protocol error that names the supported one.
+    let columnar = named.replace(r#""hash""#, r#""columnar""#);
+    let resp = Response::parse(&c.request_raw(&columnar).expect("run")).unwrap();
+    assert_eq!(resp.code, Some(ErrorCode::Protocol));
+    assert!(resp.error.unwrap().contains(r#""hash""#));
+    shutdown(addr, handle);
+}
+
+#[test]
+fn oversized_request_line_is_a_protocol_error_and_closes_the_connection() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::time::Duration;
+
+    let (addr, handle) = start();
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("timeout");
+    // One byte past the cap and no newline: the server must answer instead
+    // of buffering until the client gives up.
+    stream
+        .write_all(&vec![b'x'; MAX_REQUEST_LINE + 1])
+        .expect("send");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader
+        .read_line(&mut line)
+        .expect("response before timeout");
+    let resp = Response::parse(line.trim()).expect("parse");
+    assert_eq!(resp.code, Some(ErrorCode::Protocol));
+    assert!(resp.error.unwrap().contains("exceeds"), "{line}");
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).expect("eof"), 0, "closed");
+    // The server itself keeps serving.
+    let ping = client(addr).request(&Request::Ping { schema: None });
+    assert_eq!(ping.expect("ping").exit, 0);
     shutdown(addr, handle);
 }
 

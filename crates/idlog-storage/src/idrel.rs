@@ -161,7 +161,7 @@ impl IdAssignment {
 
 /// Materialize the ID-relation of `rel` under `assignment`: each tuple is
 /// extended with its tid as a trailing `i`-sorted column. The result keeps
-/// `rel`'s backend and its scan order, tuple for tuple.
+/// `rel`'s scan order, tuple for tuple.
 ///
 /// Errors if the assignment was built for another relation (length or scan
 /// fingerprint differ) — a buggy oracle must surface as a clean error, not
@@ -182,11 +182,7 @@ pub fn make_id_relation(rel: &Relation, assignment: &IdAssignment) -> CommonResu
         .zip(&assignment.tids)
         .map(|(t, &tid)| t.with_appended(Value::Int(i64::from(tid))))
         .collect();
-    Ok(Relation::from_distinct(
-        rel.rtype().id_version(),
-        rel.backend_kind(),
-        tuples,
-    ))
+    Ok(Relation::from_distinct(rel.rtype().id_version(), tuples))
 }
 
 #[cfg(test)]

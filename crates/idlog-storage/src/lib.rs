@@ -1,10 +1,10 @@
 //! In-memory relational storage for the IDLOG workspace.
 //!
-//! Provides typed relations over two-sorted tuples, hash indexes on attribute
-//! subsets, databases (named relations sharing an interner), and — the part
-//! specific to the paper — **ID-relations**: augmentations of a relation `r`
-//! with tuple identifiers assigned per *sub-relation* of `r` grouped by a set
-//! of attributes (\[She90b\] §2.1).
+//! Provides typed relations over two-sorted tuples (with maintained hash
+//! indexes on attribute subsets), databases (named relations sharing an
+//! interner), and — the part specific to the paper — **ID-relations**:
+//! augmentations of a relation `r` with tuple identifiers assigned per
+//! *sub-relation* of `r` grouped by a set of attributes (\[She90b\] §2.1).
 //!
 //! The non-determinism of IDLOG is exactly the freedom in choosing an
 //! ID-function for each sub-relation; [`idrel`] constructs one ID-relation
@@ -19,7 +19,6 @@ pub mod database;
 pub mod enumerate;
 pub mod group;
 pub mod idrel;
-pub mod index;
 pub mod relation;
 pub mod storage;
 
@@ -29,9 +28,5 @@ pub use enumerate::{
 };
 pub use group::{group_by, Grouping};
 pub use idrel::{make_id_relation, IdAssignment};
-pub use index::Index;
 pub use relation::Relation;
-pub use storage::{
-    estimated_tuple_bytes, estimated_value_bytes, BackendKind, ColumnarBackend, HashBackend, Probe,
-    ScanIter, Storage,
-};
+pub use storage::{estimated_tuple_bytes, estimated_value_bytes, Probe, ScanIter};

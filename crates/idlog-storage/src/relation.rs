@@ -1,63 +1,29 @@
-//! Typed finite relations over a pluggable storage backend.
+//! Typed finite relations over the hash tuple store.
 
 use idlog_common::{CommonError, CommonResult, FxHashSet, Interner, RelType, Sort, Tuple, Value};
 
-use crate::storage::{
-    estimated_tuple_bytes, BackendKind, ColumnarBackend, HashBackend, Probe, ScanIter, Storage,
-};
-
-/// Which concrete backend a relation delegates to. Static dispatch: every
-/// call goes through one `match` and then straight into the backend.
-#[derive(Clone, Debug)]
-enum BackendImpl {
-    Hash(HashBackend),
-    Columnar(ColumnarBackend),
-}
-
-macro_rules! dispatch {
-    ($self:expr, $b:ident => $e:expr) => {
-        match &$self.backend {
-            BackendImpl::Hash($b) => $e,
-            BackendImpl::Columnar($b) => $e,
-        }
-    };
-}
-
-macro_rules! dispatch_mut {
-    ($self:expr, $b:ident => $e:expr) => {
-        match &mut $self.backend {
-            BackendImpl::Hash($b) => $e,
-            BackendImpl::Columnar($b) => $e,
-        }
-    };
-}
+use crate::storage::{estimated_tuple_bytes, HashBackend, Probe, ScanIter};
 
 /// A finite relation: a set of equal-arity, sort-consistent tuples.
 ///
-/// The tuple store is one of the [`crate::storage`] backends (hash by
-/// default; see [`Relation::new_in`] / [`Relation::to_backend`]); this type
-/// layers the declared [`RelType`] and sort checking on top.
-/// [`Relation::sorted_canonical`] materializes a canonical order when one is
-/// needed (display, canonical tid assignment).
+/// The tuples live in a [`crate::storage`] hash store (insertion-ordered,
+/// with maintained probe indexes); this type layers the declared
+/// [`RelType`] and sort checking on top. [`Relation::sorted_canonical`]
+/// materializes a canonical order when one is needed (display, canonical
+/// tid assignment).
 #[derive(Clone, Debug)]
 pub struct Relation {
     rtype: RelType,
-    backend: BackendImpl,
+    store: HashBackend,
 }
 
 impl Relation {
-    /// An empty relation of the given type, on the default (hash) backend.
+    /// An empty relation of the given type.
     pub fn new(rtype: RelType) -> Self {
-        Relation::new_in(rtype, BackendKind::Hash)
-    }
-
-    /// An empty relation of the given type on the given backend.
-    pub fn new_in(rtype: RelType, kind: BackendKind) -> Self {
-        let backend = match kind {
-            BackendKind::Hash => BackendImpl::Hash(HashBackend::new()),
-            BackendKind::Columnar => BackendImpl::Columnar(ColumnarBackend::new()),
-        };
-        Relation { rtype, backend }
+        Relation {
+            rtype,
+            store: HashBackend::default(),
+        }
     }
 
     /// An empty relation with all-uninterpreted columns.
@@ -77,44 +43,14 @@ impl Relation {
         Ok(rel)
     }
 
-    /// Build on `kind` from tuples known to be distinct and well-typed, in
-    /// bulk: the hash backend hashes each tuple once and keeps their order.
-    pub(crate) fn from_distinct(rtype: RelType, kind: BackendKind, tuples: Vec<Tuple>) -> Self {
+    /// Build from tuples known to be distinct and well-typed, in bulk:
+    /// each tuple is hashed once and their order is kept.
+    pub(crate) fn from_distinct(rtype: RelType, tuples: Vec<Tuple>) -> Self {
         debug_assert!(tuples.iter().all(|t| t.arity() == rtype.arity()));
-        let backend = match kind {
-            BackendKind::Hash => BackendImpl::Hash(HashBackend::from_distinct(tuples)),
-            BackendKind::Columnar => BackendImpl::Columnar(ColumnarBackend::from_tuples(tuples)),
-        };
-        Relation { rtype, backend }
-    }
-
-    /// The backend this relation stores its tuples in.
-    pub fn backend_kind(&self) -> BackendKind {
-        match &self.backend {
-            BackendImpl::Hash(_) => BackendKind::Hash,
-            BackendImpl::Columnar(_) => BackendKind::Columnar,
+        Relation {
+            rtype,
+            store: HashBackend::from_distinct(tuples),
         }
-    }
-
-    /// Move this relation onto `kind`, converting the stored tuples in bulk
-    /// when the backend actually changes (a no-op otherwise). Bulk
-    /// conversion is how columnar relations should be built from existing
-    /// data — point inserts into a columnar relation cost a one-tuple run
-    /// each.
-    pub fn to_backend(self, kind: BackendKind) -> Relation {
-        if self.backend_kind() == kind {
-            return self;
-        }
-        let Relation { rtype, backend } = self;
-        let tuples = match backend {
-            BackendImpl::Hash(b) => b.into_tuple_vec(),
-            BackendImpl::Columnar(b) => b.into_tuple_vec(),
-        };
-        let backend = match kind {
-            BackendKind::Hash => BackendImpl::Hash(HashBackend::from_tuples(tuples)),
-            BackendKind::Columnar => BackendImpl::Columnar(ColumnarBackend::from_tuples(tuples)),
-        };
-        Relation { rtype, backend }
     }
 
     /// The relation's declared type.
@@ -129,7 +65,7 @@ impl Relation {
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        dispatch!(self, b => b.len())
+        self.store.len()
     }
 
     /// True when the relation holds no tuples.
@@ -166,7 +102,7 @@ impl Relation {
     /// Insert a tuple, type-checking it. Returns `Ok(true)` if newly added.
     pub fn insert(&mut self, t: Tuple) -> CommonResult<bool> {
         self.check_tuple(&t)?;
-        Ok(dispatch_mut!(self, b => b.insert(t)))
+        Ok(self.store.insert(t))
     }
 
     /// Insert without a sort check. The caller must guarantee the tuple
@@ -178,7 +114,7 @@ impl Relation {
         if let Err(msg) = idlog_common::failpoint::hit("storage.insert") {
             panic!("{msg}");
         }
-        dispatch_mut!(self, b => b.insert(t))
+        self.store.insert(t)
     }
 
     /// Insert one derivation batch; `flags[i]` is true when `batch[i]` was
@@ -198,21 +134,20 @@ impl Relation {
                 panic!("{msg}");
             }
         }
-        dispatch_mut!(self, b => b.delta_batch_insert(batch))
+        self.store.delta_batch_insert(batch)
     }
 
     /// Remove a batch of tuples; `flags[i]` is true when `batch[i]` was
     /// present and removed (first occurrence wins for intra-batch
     /// duplicates). Scan order of the survivors stays a deterministic
-    /// function of the batch sequence on both backends; indexes are
-    /// rebuilt. Used by incremental maintenance — the engine proper never
+    /// function of the batch sequence; indexes are rebuilt. Used by incremental maintenance — the engine proper never
     /// removes.
     pub fn remove_batch(&mut self, batch: &[&Tuple]) -> Vec<bool> {
         debug_assert!(
             batch.iter().all(|t| self.check_tuple(t).is_ok()),
             "ill-typed tuple in remove batch"
         );
-        dispatch_mut!(self, b => b.remove_batch(batch))
+        self.store.remove_batch(batch)
     }
 
     /// Make subsequent [`Relation::probe`] calls on `positions` indexed.
@@ -220,7 +155,7 @@ impl Relation {
     /// pure reads; indexes are maintained incrementally by inserts from
     /// then on.
     pub fn ensure_index(&mut self, positions: &[usize]) {
-        dispatch_mut!(self, b => b.ensure_index(positions))
+        self.store.ensure_index(positions)
     }
 
     /// All tuples whose projection on `positions` equals `key` (one value
@@ -228,7 +163,7 @@ impl Relation {
     /// [`Relation::ensure_index`] ran for `positions`; a correct (but
     /// linear) filtered scan otherwise.
     pub fn probe<'a>(&'a self, positions: &[usize], key: &Tuple) -> Probe<'a> {
-        dispatch!(self, b => b.probe(positions, key))
+        self.store.probe(positions, key)
     }
 
     /// Deterministic estimate of the bytes held by this relation's tuples:
@@ -236,22 +171,22 @@ impl Relation {
     /// on the declared sort (symbols weigh more than ints — they carry
     /// interner storage). Deliberately a pure function of `len` and the
     /// relation type so the engine's `max_bytes` ceiling trips at the same
-    /// fixpoint round at any thread count, on any backend.
+    /// fixpoint round at any thread count.
     pub fn estimated_bytes(&self) -> u64 {
         (self.len() as u64) * estimated_tuple_bytes(&self.rtype)
     }
 
     /// Membership test.
     pub fn contains(&self, t: &Tuple) -> bool {
-        dispatch!(self, b => b.contains(t))
+        self.store.contains(t)
     }
 
-    /// Iterate tuples in the backend's deterministic scan order (insertion
-    /// order for hash, run-then-sorted order for columnar). Callers that
-    /// need an order independent of insert history use
+    /// Iterate tuples in their deterministic scan order (insertion order;
+    /// removal keeps the survivors' order). Callers that need an order
+    /// independent of insert history use
     /// [`Relation::sorted_canonical`].
     pub fn iter(&self) -> ScanIter<'_> {
-        dispatch!(self, b => b.scan())
+        self.store.scan()
     }
 
     /// All tuples in canonical (name-based) order. Deterministic across runs
@@ -271,8 +206,8 @@ impl Relation {
             .collect()
     }
 
-    /// Set-equality with another relation (types must match too). Works
-    /// across backends: contents are compared as sets.
+    /// Set-equality with another relation (types must match too): contents
+    /// are compared as sets, whatever their scan order.
     pub fn set_eq(&self, other: &Relation) -> bool {
         self.rtype == other.rtype
             && self.len() == other.len()
@@ -299,11 +234,7 @@ impl Relation {
 
     /// Consume into the underlying tuple set.
     pub fn into_tuples(self) -> FxHashSet<Tuple> {
-        let vec = match self.backend {
-            BackendImpl::Hash(b) => b.into_tuple_vec(),
-            BackendImpl::Columnar(b) => b.into_tuple_vec(),
-        };
-        vec.into_iter().collect()
+        self.store.into_tuple_vec().into_iter().collect()
     }
 }
 
@@ -381,28 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn set_equality_crosses_backends() {
-        let i = Interner::new();
-        let mut hash = Relation::elementary(1);
-        for n in ["a", "b", "c"] {
-            hash.insert(vec![sym(&i, n)].into()).unwrap();
-        }
-        let columnar = hash.clone().to_backend(BackendKind::Columnar);
-        assert_eq!(columnar.backend_kind(), BackendKind::Columnar);
-        assert_eq!(hash, columnar);
-        assert_eq!(columnar, hash);
-        // And back again.
-        let round_trip = columnar.clone().to_backend(BackendKind::Hash);
-        assert_eq!(round_trip.backend_kind(), BackendKind::Hash);
-        assert_eq!(round_trip, hash);
-        // Divergence is detected in either direction.
-        let mut bigger = columnar;
-        bigger.insert(vec![sym(&i, "d")].into()).unwrap();
-        assert_ne!(hash, bigger);
-        assert_ne!(bigger, hash);
-    }
-
-    #[test]
     fn u_constants_collects_symbols_only() {
         let i = Interner::new();
         let mut r = Relation::new(RelType::new(vec![Sort::U, Sort::I]));
@@ -454,49 +363,5 @@ mod tests {
             syms.estimated_bytes(),
             ints.estimated_bytes()
         );
-        // Pure function of len and type: identical across backends.
-        let syms_col = syms.clone().to_backend(BackendKind::Columnar);
-        assert_eq!(syms.estimated_bytes(), syms_col.estimated_bytes());
-    }
-
-    #[test]
-    fn probe_agrees_across_backends() {
-        let i = Interner::new();
-        let mut hash = Relation::elementary(2);
-        for (x, y) in [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("a", "e")] {
-            hash.insert(vec![sym(&i, x), sym(&i, y)].into()).unwrap();
-        }
-        let mut columnar = hash.clone().to_backend(BackendKind::Columnar);
-        hash.ensure_index(&[0]);
-        columnar.ensure_index(&[0]);
-        let key: Tuple = vec![sym(&i, "a")].into();
-        let mut from_hash: Vec<Tuple> = hash.probe(&[0], &key).iter().cloned().collect();
-        let mut from_col: Vec<Tuple> = columnar.probe(&[0], &key).iter().cloned().collect();
-        assert_eq!(from_hash.len(), 3);
-        from_hash.sort_unstable();
-        from_col.sort_unstable();
-        assert_eq!(from_hash, from_col);
-    }
-
-    #[test]
-    fn delta_batches_keep_backends_in_lockstep() {
-        let i = Interner::new();
-        let mut hash = Relation::elementary(1);
-        let mut col = Relation::new_in(RelType::elementary(1), BackendKind::Columnar);
-        let batches: Vec<Vec<Tuple>> = vec![
-            ["a", "b", "a"]
-                .iter()
-                .map(|n| vec![sym(&i, n)].into())
-                .collect(),
-            ["b", "c"].iter().map(|n| vec![sym(&i, n)].into()).collect(),
-        ];
-        for batch in &batches {
-            let refs: Vec<&Tuple> = batch.iter().collect();
-            let fh = hash.delta_batch_insert(&refs);
-            let fc = col.delta_batch_insert(&refs);
-            assert_eq!(fh, fc, "flags must agree across backends");
-        }
-        assert!(hash.set_eq(&col));
-        assert_eq!(hash.len(), 3);
     }
 }

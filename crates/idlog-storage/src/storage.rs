@@ -1,74 +1,30 @@
-//! Pluggable tuple-storage backends behind the [`Storage`] trait.
+//! The tuple store behind every [`crate::Relation`].
 //!
 //! The evaluator talks to relations through four operations — full `scan`,
-//! indexed `probe`, `delta_batch_insert`, and membership — so the concrete
-//! representation is swappable. Two backends ship:
+//! indexed `probe`, `delta_batch_insert`, and membership. `HashBackend`
+//! serves them from an append-only tuple store with a hash-based membership
+//! table and **incrementally maintained** hash indexes. Indexes map
+//! projection keys to offsets into the store, so index maintenance costs one
+//! `u32` per (index, new tuple) instead of a full tuple clone, and nothing is
+//! ever rebuilt from scratch.
 //!
-//! * [`HashBackend`] (the default): an append-only tuple store with a
-//!   hash-based membership table and **incrementally maintained** hash
-//!   indexes. Indexes map projection keys to offsets into the store, so
-//!   index maintenance costs one `u32` per (index, new tuple) instead of a
-//!   full tuple clone, and nothing is ever rebuilt from scratch.
-//! * [`ColumnarBackend`]: sorted runs with merge-based semi-naive deltas.
-//!   Every delta batch becomes one sorted, deduplicated run; probes and
-//!   scans merge across runs; runs are compacted into one once too many
-//!   accumulate. Ordered probes come from per-run sorted permutations
-//!   (an LSM-style layout, kept fully in memory here).
-//!
-//! Both backends are deterministic: iteration order is a pure function of
-//! the *sequence of batches applied*, never of hash-map iteration order or
-//! thread count. Since the engine applies batches in round/work-item order,
-//! which is itself thread-count-invariant, results and statistics stay
-//! byte-identical at any `--threads` value per backend — and the derived
-//! *sets* (and therefore all engine counters) are identical across backends.
+//! Iteration order is a pure function of the *sequence of batches applied*,
+//! never of hash-map iteration order or thread count. Since the engine
+//! applies batches in round/work-item order, which is itself
+//! thread-count-invariant, results and statistics stay byte-identical at any
+//! `--threads` value.
 
 use std::collections::hash_map::Entry;
 
 use idlog_common::{FxHashMap, FxHashSet, RelType, Sort, Tuple};
 
-/// Which [`Storage`] implementation a relation uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum BackendKind {
-    /// Hash membership + incrementally maintained hash indexes (default).
-    #[default]
-    Hash,
-    /// Sorted columnar runs with merge-based probes and compaction.
-    Columnar,
-}
-
-impl BackendKind {
-    /// Parse a backend name as accepted by `idlog run --backend` and the
-    /// REPL `:backend` command.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "hash" => Some(BackendKind::Hash),
-            "columnar" => Some(BackendKind::Columnar),
-            _ => None,
-        }
-    }
-
-    /// The canonical name (`"hash"` / `"columnar"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::Hash => "hash",
-            BackendKind::Columnar => "columnar",
-        }
-    }
-}
-
-impl std::fmt::Display for BackendKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Deterministic per-value size estimate for governor byte accounting.
 ///
 /// A pure function of the declared sort — never of the actual value — so
 /// `Limits::max_bytes` trips at the same fixpoint round for any thread
-/// count and any backend. Sort `u` values carry an interned symbol and a
-/// share of the interner's name storage; sort `i` values are a bare `i64`
-/// in a 16-byte enum.
+/// count. Sort `u` values carry an interned symbol and a share of the
+/// interner's name storage; sort `i` values are a bare `i64` in a 16-byte
+/// enum.
 pub fn estimated_value_bytes(sort: Sort) -> u64 {
     match sort {
         Sort::U => 48,
@@ -88,153 +44,53 @@ pub fn estimated_tuple_bytes(rtype: &RelType) -> u64 {
             .sum::<u64>()
 }
 
-/// The storage abstraction the evaluator runs against.
-///
-/// Implementations must keep iteration ([`Storage::scan`], probe order) a
-/// deterministic function of the sequence of inserts applied — the engine's
-/// thread-count-invariance proof rests on it. Sort/arity checking is the
-/// caller's job ([`crate::Relation`] layers it on top).
-pub trait Storage {
-    /// Number of stored tuples.
-    fn len(&self) -> usize;
+/// Deterministic scanning iterator over a relation's tuples, in insertion
+/// order.
+pub type ScanIter<'a> = std::slice::Iter<'a, Tuple>;
 
-    /// True when nothing is stored.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+/// The result of a [`crate::Relation::probe`]: the matching tuples,
+/// borrowed from the store; no tuples are cloned.
+pub struct Probe<'a>(ProbeInner<'a>);
 
-    /// Membership test.
-    fn contains(&self, t: &Tuple) -> bool;
-
-    /// Insert one owned tuple; true when newly added.
-    fn insert(&mut self, t: Tuple) -> bool;
-
-    /// Insert a derivation batch; `flags[i]` is true when `batch[i]` was
-    /// genuinely new (first occurrence wins for intra-batch duplicates).
-    /// Only new tuples are cloned.
-    fn delta_batch_insert(&mut self, batch: &[&Tuple]) -> Vec<bool>;
-
-    /// Remove a batch of tuples; `flags[i]` is true when `batch[i]` was
-    /// present and removed (first occurrence wins for intra-batch
-    /// duplicates). Determinism contract: the post-removal scan order is a
-    /// pure function of the sequence of batches applied, exactly as for
-    /// inserts — incremental maintenance relies on it.
-    fn remove_batch(&mut self, batch: &[&Tuple]) -> Vec<bool>;
-
-    /// Iterate every tuple in the backend's canonical (deterministic)
-    /// order: insertion order for hash, run-then-sorted order for columnar.
-    fn scan(&self) -> ScanIter<'_>;
-
-    /// Make subsequent [`Storage::probe`] calls on `positions` indexed.
-    /// Called by the engine before each (read-only) round; probing without
-    /// it stays correct but degrades to a filtered scan.
-    fn ensure_index(&mut self, positions: &[usize]);
-
-    /// All tuples whose projection on `positions` equals `key`.
-    fn probe<'a>(&'a self, positions: &[usize], key: &Tuple) -> Probe<'a>;
-
-    /// Consume into a tuple vector (in [`Storage::scan`] order).
-    fn into_tuple_vec(self) -> Vec<Tuple>
-    where
-        Self: Sized;
-}
-
-/// Deterministic scanning iterator over a backend's tuples.
-pub struct ScanIter<'a>(ScanInner<'a>);
-
-enum ScanInner<'a> {
-    Slice(std::slice::Iter<'a, Tuple>),
-    Runs {
-        rest: std::slice::Iter<'a, Run>,
-        cur: std::slice::Iter<'a, Tuple>,
-    },
-}
-
-impl<'a> Iterator for ScanIter<'a> {
-    type Item = &'a Tuple;
-
-    fn next(&mut self) -> Option<&'a Tuple> {
-        match &mut self.0 {
-            ScanInner::Slice(it) => it.next(),
-            ScanInner::Runs { rest, cur } => loop {
-                if let Some(t) = cur.next() {
-                    return Some(t);
-                }
-                match rest.next() {
-                    Some(run) => *cur = run.tuples.iter(),
-                    None => return None,
-                }
-            },
-        }
-    }
-}
-
-/// The result of an indexed [`Storage::probe`]: the matching tuples, as up
-/// to one segment per physical partition (one for hash, one per run for
-/// columnar). Borrowed from the backend; no tuples are cloned.
-pub struct Probe<'a> {
-    segments: Vec<ProbeSeg<'a>>,
-    len: usize,
-}
-
-enum ProbeSeg<'a> {
-    /// Offsets into a tuple store (a maintained index or a sorted run
-    /// permutation's equal range).
+enum ProbeInner<'a> {
+    /// Offsets into the tuple store, from a maintained index.
     Offsets {
         offsets: &'a [u32],
         store: &'a [Tuple],
     },
     /// Materialized references (the unindexed fallback path).
-    Owned(Vec<&'a Tuple>),
+    Filtered(Vec<&'a Tuple>),
 }
 
 impl<'a> Probe<'a> {
     /// A probe with no matches.
     pub fn empty() -> Self {
-        Probe {
-            segments: Vec::new(),
-            len: 0,
-        }
+        Probe(ProbeInner::Filtered(Vec::new()))
     }
 
     /// Number of matching tuples.
     pub fn len(&self) -> usize {
-        self.len
+        match &self.0 {
+            ProbeInner::Offsets { offsets, .. } => offsets.len(),
+            ProbeInner::Filtered(v) => v.len(),
+        }
     }
 
     /// True when nothing matched.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// Iterate the matches in segment order.
+    /// Iterate the matches in store order.
     pub fn iter<'p>(&'p self) -> impl Iterator<Item = &'a Tuple> + 'p {
-        self.segments.iter().flat_map(|seg| match seg {
-            ProbeSeg::Offsets { offsets, store } => SegIter::Offsets {
-                offsets: offsets.iter(),
-                store,
-            },
-            ProbeSeg::Owned(v) => SegIter::Owned(v.iter()),
-        })
-    }
-}
-
-enum SegIter<'a, 'p> {
-    Offsets {
-        offsets: std::slice::Iter<'a, u32>,
-        store: &'a [Tuple],
-    },
-    Owned(std::slice::Iter<'p, &'a Tuple>),
-}
-
-impl<'a> Iterator for SegIter<'a, '_> {
-    type Item = &'a Tuple;
-
-    fn next(&mut self) -> Option<&'a Tuple> {
-        match self {
-            SegIter::Offsets { offsets, store } => offsets.next().map(|&o| &store[o as usize]),
-            SegIter::Owned(it) => it.next().copied(),
-        }
+        let (offsets, store, filtered): (&'a [u32], &'a [Tuple], &'p [&'a Tuple]) = match &self.0 {
+            ProbeInner::Offsets { offsets, store } => (offsets, store, &[]),
+            ProbeInner::Filtered(v) => (&[], &[], v),
+        };
+        offsets
+            .iter()
+            .map(move |&o| &store[o as usize])
+            .chain(filtered.iter().copied())
     }
 }
 
@@ -246,20 +102,10 @@ fn fx_hash(t: &Tuple) -> u64 {
     h.finish()
 }
 
-/// Compare `t`'s projection on `positions` against `key` (which has one
+/// Whether `t`'s projection on `positions` equals `key` (which has one
 /// value per position, in position order).
-fn cmp_proj(t: &Tuple, positions: &[usize], key: &Tuple) -> std::cmp::Ordering {
-    for (k, &p) in positions.iter().enumerate() {
-        let ord = t[p].cmp(&key[k]);
-        if ord != std::cmp::Ordering::Equal {
-            return ord;
-        }
-    }
-    std::cmp::Ordering::Equal
-}
-
 fn proj_matches(t: &Tuple, positions: &[usize], key: &Tuple) -> bool {
-    cmp_proj(t, positions, key) == std::cmp::Ordering::Equal
+    positions.iter().enumerate().all(|(k, &p)| t[p] == key[k])
 }
 
 /// Append-only tuple store with hash membership and incrementally
@@ -273,10 +119,9 @@ fn proj_matches(t: &Tuple, positions: &[usize], key: &Tuple) -> bool {
 /// tuple costs a heap allocation of its own in the membership table — which
 /// keeps clones (input installation, enumeration branches) cheap.
 /// Each index maps a projection key to store offsets and is updated on
-/// every insert, fixing the former `Index::build`-per-round churn (full
-/// rebuild + per-key tuple clones each round).
+/// every insert, so no index is rebuilt or cloned per round.
 #[derive(Clone, Debug, Default)]
-pub struct HashBackend {
+pub(crate) struct HashBackend {
     store: Vec<Tuple>,
     seen: FxHashMap<u64, u32>,
     collisions: FxHashMap<u64, Vec<u32>>,
@@ -284,21 +129,6 @@ pub struct HashBackend {
 }
 
 impl HashBackend {
-    /// An empty backend.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Build from owned tuples, dropping duplicates.
-    pub fn from_tuples(tuples: Vec<Tuple>) -> Self {
-        let mut b = Self::default();
-        b.store.reserve(tuples.len());
-        for t in tuples {
-            Storage::insert(&mut b, t);
-        }
-        b
-    }
-
     /// Build from tuples known to be distinct, keeping their order: one
     /// hash per tuple and no membership probe.
     pub(crate) fn from_distinct(tuples: Vec<Tuple>) -> Self {
@@ -350,18 +180,19 @@ impl HashBackend {
         self.store.push(t);
         off
     }
-}
 
-impl Storage for HashBackend {
-    fn len(&self) -> usize {
+    /// Number of stored tuples.
+    pub(crate) fn len(&self) -> usize {
         self.store.len()
     }
 
-    fn contains(&self, t: &Tuple) -> bool {
+    /// Membership test.
+    pub(crate) fn contains(&self, t: &Tuple) -> bool {
         self.find(t).is_some()
     }
 
-    fn insert(&mut self, t: Tuple) -> bool {
+    /// Insert one owned tuple; true when newly added.
+    pub(crate) fn insert(&mut self, t: Tuple) -> bool {
         let hash = fx_hash(&t);
         if self.find_hashed(&t, hash).is_some() {
             return false;
@@ -370,7 +201,10 @@ impl Storage for HashBackend {
         true
     }
 
-    fn delta_batch_insert(&mut self, batch: &[&Tuple]) -> Vec<bool> {
+    /// Insert a derivation batch; `flags[i]` is true when `batch[i]` was
+    /// genuinely new (first occurrence wins for intra-batch duplicates).
+    /// Only new tuples are cloned.
+    pub(crate) fn delta_batch_insert(&mut self, batch: &[&Tuple]) -> Vec<bool> {
         batch
             .iter()
             .map(|&t| {
@@ -385,7 +219,12 @@ impl Storage for HashBackend {
             .collect()
     }
 
-    fn remove_batch(&mut self, batch: &[&Tuple]) -> Vec<bool> {
+    /// Remove a batch of tuples; `flags[i]` is true when `batch[i]` was
+    /// present and removed (first occurrence wins for intra-batch
+    /// duplicates). The survivors keep their scan order, so it stays a pure
+    /// function of the sequence of batches applied — incremental
+    /// maintenance relies on it.
+    pub(crate) fn remove_batch(&mut self, batch: &[&Tuple]) -> Vec<bool> {
         let mut victims: FxHashSet<&Tuple> = FxHashSet::default();
         let flags: Vec<bool> = batch
             .iter()
@@ -402,18 +241,21 @@ impl Storage for HashBackend {
             .filter(|t| !victims.contains(t))
             .collect();
         let index_keys: Vec<Vec<usize>> = self.indexes.keys().cloned().collect();
-        *self = HashBackend::from_tuples(survivors);
+        *self = HashBackend::from_distinct(survivors);
         for positions in index_keys {
             self.ensure_index(&positions);
         }
         flags
     }
 
-    fn scan(&self) -> ScanIter<'_> {
-        ScanIter(ScanInner::Slice(self.store.iter()))
+    /// Iterate every tuple in insertion order.
+    pub(crate) fn scan(&self) -> ScanIter<'_> {
+        self.store.iter()
     }
 
-    fn ensure_index(&mut self, positions: &[usize]) {
+    /// Make subsequent [`HashBackend::probe`] calls on `positions` indexed;
+    /// probing without it stays correct but degrades to a filtered scan.
+    pub(crate) fn ensure_index(&mut self, positions: &[usize]) {
         if self.indexes.contains_key(positions) {
             return;
         }
@@ -426,269 +268,28 @@ impl Storage for HashBackend {
         self.indexes.insert(positions.to_vec(), map);
     }
 
-    fn probe<'a>(&'a self, positions: &[usize], key: &Tuple) -> Probe<'a> {
-        if let Some(map) = self.indexes.get(positions) {
-            match map.get(key) {
-                Some(offsets) => Probe {
-                    len: offsets.len(),
-                    segments: vec![ProbeSeg::Offsets {
-                        offsets,
-                        store: &self.store,
-                    }],
-                },
+    /// All tuples whose projection on `positions` equals `key`.
+    pub(crate) fn probe<'a>(&'a self, positions: &[usize], key: &Tuple) -> Probe<'a> {
+        match self.indexes.get(positions) {
+            Some(map) => match map.get(key) {
+                Some(offsets) => Probe(ProbeInner::Offsets {
+                    offsets,
+                    store: &self.store,
+                }),
                 None => Probe::empty(),
-            }
-        } else {
-            let v: Vec<&Tuple> = self
-                .store
-                .iter()
-                .filter(|t| proj_matches(t, positions, key))
-                .collect();
-            Probe {
-                len: v.len(),
-                segments: if v.is_empty() {
-                    Vec::new()
-                } else {
-                    vec![ProbeSeg::Owned(v)]
-                },
-            }
-        }
-    }
-
-    fn into_tuple_vec(self) -> Vec<Tuple> {
-        self.store
-    }
-}
-
-/// How many sorted runs may accumulate before they are compacted into one.
-/// Small enough that probes stay a handful of binary searches, large enough
-/// that compaction is amortized across many delta rounds.
-const MAX_RUNS: usize = 8;
-
-/// One sorted, deduplicated batch of tuples plus its per-index sorted
-/// permutations. Runs are immutable once built, so a permutation can never
-/// go stale.
-#[derive(Clone, Debug)]
-struct Run {
-    /// Sorted by the derived (interning-order) `Ord` on [`Tuple`].
-    tuples: Vec<Tuple>,
-    /// For each indexed position set: offsets into `tuples`, ordered by the
-    /// tuples' projection on those positions (ties in store order).
-    perms: FxHashMap<Vec<usize>, Vec<u32>>,
-}
-
-impl Run {
-    fn from_sorted(tuples: Vec<Tuple>, indexed: &FxHashSet<Vec<usize>>) -> Self {
-        let mut run = Run {
-            tuples,
-            perms: FxHashMap::default(),
-        };
-        for positions in indexed {
-            run.build_perm(positions);
-        }
-        run
-    }
-
-    fn build_perm(&mut self, positions: &[usize]) {
-        if self.perms.contains_key(positions) {
-            return;
-        }
-        let mut perm: Vec<u32> = (0..self.tuples.len() as u32).collect();
-        perm.sort_by(|&a, &b| {
-            let (ta, tb) = (&self.tuples[a as usize], &self.tuples[b as usize]);
-            positions
-                .iter()
-                .map(|&p| ta[p].cmp(&tb[p]))
-                .find(|o| *o != std::cmp::Ordering::Equal)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        self.perms.insert(positions.to_vec(), perm);
-    }
-}
-
-/// Sorted columnar runs with merge-based deltas.
-///
-/// Every delta batch becomes one sorted run disjoint from all earlier runs
-/// (already-present tuples are filtered out first), so a scan is a run-order
-/// concatenation and membership is one binary search per run. When more than
-/// `MAX_RUNS` runs accumulate they are compacted into a single sorted run
-/// — deterministic, since compaction is a pure function of the batch
-/// sequence. Point inserts degrade to one-tuple runs; bulk construction
-/// should go through [`ColumnarBackend::from_tuples`] (which is how
-/// [`crate::Relation::to_backend`] builds one).
-#[derive(Clone, Debug, Default)]
-pub struct ColumnarBackend {
-    runs: Vec<Run>,
-    len: usize,
-    indexed: FxHashSet<Vec<usize>>,
-}
-
-impl ColumnarBackend {
-    /// An empty backend.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Build from owned tuples: one sorted, deduplicated run.
-    pub fn from_tuples(mut tuples: Vec<Tuple>) -> Self {
-        tuples.sort_unstable();
-        tuples.dedup();
-        let len = tuples.len();
-        let mut b = ColumnarBackend::default();
-        if len > 0 {
-            b.runs.push(Run::from_sorted(tuples, &b.indexed));
-            b.len = len;
-        }
-        b
-    }
-
-    /// Append a sorted batch known to be disjoint from every stored tuple.
-    fn push_run(&mut self, fresh: Vec<Tuple>) {
-        debug_assert!(
-            fresh.windows(2).all(|w| w[0] < w[1]),
-            "run must be sorted+deduped"
-        );
-        self.len += fresh.len();
-        self.runs.push(Run::from_sorted(fresh, &self.indexed));
-        if self.runs.len() > MAX_RUNS {
-            self.compact();
-        }
-    }
-
-    /// Merge every run into one. Runs are mutually disjoint, so a plain
-    /// collect-and-sort is a correct k-way merge.
-    fn compact(&mut self) {
-        let mut all: Vec<Tuple> = Vec::with_capacity(self.len);
-        for run in self.runs.drain(..) {
-            all.extend(run.tuples);
-        }
-        all.sort_unstable();
-        debug_assert_eq!(all.len(), self.len, "runs must be disjoint");
-        self.runs.push(Run::from_sorted(all, &self.indexed));
-    }
-}
-
-impl Storage for ColumnarBackend {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn contains(&self, t: &Tuple) -> bool {
-        self.runs
-            .iter()
-            .any(|run| run.tuples.binary_search(t).is_ok())
-    }
-
-    fn insert(&mut self, t: Tuple) -> bool {
-        if self.contains(&t) {
-            return false;
-        }
-        self.push_run(vec![t]);
-        true
-    }
-
-    fn delta_batch_insert(&mut self, batch: &[&Tuple]) -> Vec<bool> {
-        let mut flags = Vec::with_capacity(batch.len());
-        let mut fresh: Vec<Tuple> = Vec::new();
-        let mut seen: FxHashSet<&Tuple> = FxHashSet::default();
-        for &t in batch {
-            let new = !seen.contains(t) && !self.contains(t);
-            if new {
-                seen.insert(t);
-                fresh.push(t.clone());
-            }
-            flags.push(new);
-        }
-        if !fresh.is_empty() {
-            fresh.sort_unstable();
-            self.push_run(fresh);
-        }
-        flags
-    }
-
-    fn remove_batch(&mut self, batch: &[&Tuple]) -> Vec<bool> {
-        let mut victims: FxHashSet<&Tuple> = FxHashSet::default();
-        let flags: Vec<bool> = batch
-            .iter()
-            .map(|&t| self.contains(t) && victims.insert(t))
-            .collect();
-        if victims.is_empty() {
-            return flags;
-        }
-        let mut removed = 0usize;
-        for run in &mut self.runs {
-            let before = run.tuples.len();
-            run.tuples.retain(|t| !victims.contains(t));
-            if run.tuples.len() != before {
-                removed += before - run.tuples.len();
-                // A run's permutations index into its tuple vector; rebuild
-                // them against the surviving (still sorted) tuples.
-                let keys: Vec<Vec<usize>> = run.perms.keys().cloned().collect();
-                run.perms.clear();
-                for positions in &keys {
-                    run.build_perm(positions);
-                }
-            }
-        }
-        self.runs.retain(|run| !run.tuples.is_empty());
-        self.len -= removed;
-        flags
-    }
-
-    fn scan(&self) -> ScanIter<'_> {
-        ScanIter(ScanInner::Runs {
-            rest: self.runs.iter(),
-            cur: [].iter(),
-        })
-    }
-
-    fn ensure_index(&mut self, positions: &[usize]) {
-        if self.indexed.insert(positions.to_vec()) {
-            for run in &mut self.runs {
-                run.build_perm(positions);
-            }
-        }
-    }
-
-    fn probe<'a>(&'a self, positions: &[usize], key: &Tuple) -> Probe<'a> {
-        let mut segments = Vec::new();
-        let mut len = 0usize;
-        for run in &self.runs {
-            if let Some(perm) = run.perms.get(positions) {
-                let lo = perm.partition_point(|&i| {
-                    cmp_proj(&run.tuples[i as usize], positions, key).is_lt()
-                });
-                let hi = perm.partition_point(|&i| {
-                    !cmp_proj(&run.tuples[i as usize], positions, key).is_gt()
-                });
-                if lo < hi {
-                    len += hi - lo;
-                    segments.push(ProbeSeg::Offsets {
-                        offsets: &perm[lo..hi],
-                        store: &run.tuples,
-                    });
-                }
-            } else {
-                let v: Vec<&Tuple> = run
-                    .tuples
+            },
+            None => Probe(ProbeInner::Filtered(
+                self.store
                     .iter()
                     .filter(|t| proj_matches(t, positions, key))
-                    .collect();
-                if !v.is_empty() {
-                    len += v.len();
-                    segments.push(ProbeSeg::Owned(v));
-                }
-            }
+                    .collect(),
+            )),
         }
-        Probe { segments, len }
     }
 
-    fn into_tuple_vec(self) -> Vec<Tuple> {
-        let mut out = Vec::with_capacity(self.len);
-        for run in self.runs {
-            out.extend(run.tuples);
-        }
-        out
+    /// Consume into the tuple vector, in scan order.
+    pub(crate) fn into_tuple_vec(self) -> Vec<Tuple> {
+        self.store
     }
 }
 
@@ -701,10 +302,10 @@ mod tests {
         vals.iter().map(|&n| Value::Int(n)).collect()
     }
 
-    /// Exercise one backend through the trait, generically.
-    fn exercise<S: Storage + Default>() {
-        let mut s = S::default();
-        assert!(s.is_empty());
+    /// Exercise the store's insert, batch, probe and scan contract.
+    fn exercise() {
+        let mut s = HashBackend::default();
+        assert_eq!(s.len(), 0);
         assert!(s.insert(t(&[1, 10])));
         assert!(!s.insert(t(&[1, 10])), "duplicate");
         assert!(s.insert(t(&[1, 20])));
@@ -744,9 +345,9 @@ mod tests {
         assert_eq!(s.scan().count(), 4);
     }
 
-    /// Exercise removal through the trait, generically.
-    fn exercise_removal<S: Storage + Default>() {
-        let mut s = S::default();
+    /// Exercise the store's removal contract.
+    fn exercise_removal() {
+        let mut s = HashBackend::default();
         let batch: Vec<Tuple> = (0..12).map(|i| t(&[i % 4, i])).collect();
         let refs: Vec<&Tuple> = batch.iter().collect();
         s.delta_batch_insert(&refs);
@@ -775,32 +376,13 @@ mod tests {
 
     #[test]
     fn hash_backend_satisfies_the_trait_contract() {
-        exercise::<HashBackend>();
-        exercise_removal::<HashBackend>();
-    }
-
-    #[test]
-    fn columnar_backend_satisfies_the_trait_contract() {
-        exercise::<ColumnarBackend>();
-        exercise_removal::<ColumnarBackend>();
-    }
-
-    #[test]
-    fn columnar_removal_drops_emptied_runs() {
-        let mut s = ColumnarBackend::new();
-        let (a, b) = (t(&[1]), t(&[2]));
-        s.delta_batch_insert(&[&a]);
-        s.delta_batch_insert(&[&b]);
-        assert_eq!(s.runs.len(), 2);
-        s.remove_batch(&[&a]);
-        assert_eq!(s.runs.len(), 1);
-        assert_eq!(s.len(), 1);
-        assert!(s.contains(&b));
+        exercise();
+        exercise_removal();
     }
 
     #[test]
     fn hash_scan_is_insertion_order() {
-        let mut s = HashBackend::new();
+        let mut s = HashBackend::default();
         for n in [5, 1, 9, 3] {
             s.insert(t(&[n]));
         }
@@ -809,40 +391,8 @@ mod tests {
     }
 
     #[test]
-    fn columnar_scan_is_sorted_within_runs_and_deterministic() {
-        let mut s = ColumnarBackend::new();
-        let (a, b, c) = (t(&[5]), t(&[1]), t(&[9]));
-        s.delta_batch_insert(&[&a, &b]);
-        s.delta_batch_insert(&[&c]);
-        let got: Vec<Tuple> = s.scan().cloned().collect();
-        assert_eq!(got, vec![t(&[1]), t(&[5]), t(&[9])]);
-    }
-
-    #[test]
-    fn columnar_compaction_preserves_contents_and_probes() {
-        let mut s = ColumnarBackend::new();
-        s.ensure_index(&[0]);
-        // MAX_RUNS + 2 batches force at least one compaction.
-        for i in 0..(MAX_RUNS as i64 + 2) {
-            let x = t(&[i % 3, i]);
-            s.delta_batch_insert(&[&x]);
-        }
-        assert!(s.runs.len() <= MAX_RUNS, "{} runs", s.runs.len());
-        assert_eq!(s.len(), MAX_RUNS + 2);
-        let probe = s.probe(&[0], &t(&[0]));
-        let expect = (0..(MAX_RUNS as i64 + 2)).filter(|i| i % 3 == 0).count();
-        assert_eq!(probe.len(), expect);
-        // Scan agrees with len and holds no duplicates.
-        let mut all: Vec<Tuple> = s.scan().cloned().collect();
-        assert_eq!(all.len(), s.len());
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), s.len());
-    }
-
-    #[test]
     fn probe_after_late_ensure_index_matches_fallback() {
-        let mut s = ColumnarBackend::new();
+        let mut s = HashBackend::default();
         let batch: Vec<Tuple> = (0..20).map(|i| t(&[i % 4, i])).collect();
         let refs: Vec<&Tuple> = batch.iter().collect();
         s.delta_batch_insert(&refs);
@@ -860,7 +410,7 @@ mod tests {
     fn hash_collisions_do_not_merge_distinct_tuples() {
         // Not a constructed collision, but the equality check is exercised
         // on every bucket walk; insert enough to make buckets plural.
-        let mut s = HashBackend::new();
+        let mut s = HashBackend::default();
         for i in 0..1000 {
             assert!(s.insert(t(&[i])));
         }
@@ -876,7 +426,7 @@ mod tests {
         // Forge one hash for three distinct tuples: the first takes the
         // single-offset slot, the others the side table, and membership
         // still tells them apart.
-        let mut s = HashBackend::new();
+        let mut s = HashBackend::default();
         for n in 0..3 {
             s.commit(t(&[n]), 42);
         }
@@ -887,7 +437,7 @@ mod tests {
         }
         assert_eq!(s.find_hashed(&t(&[9]), 42), None);
         // Real hashes: no collisions, so no side-table entries.
-        let mut s = HashBackend::new();
+        let mut s = HashBackend::default();
         for n in 0..1000 {
             s.insert(t(&[n]));
         }
@@ -912,15 +462,5 @@ mod tests {
         // Pure function of the type: independent of any stored data.
         assert_eq!(estimated_tuple_bytes(&u2), estimated_tuple_bytes(&u2));
         let _ = Interner::new(); // sorts, not symbols, drive the estimate
-    }
-
-    #[test]
-    fn backend_kind_parses_cli_names() {
-        assert_eq!(BackendKind::parse("hash"), Some(BackendKind::Hash));
-        assert_eq!(BackendKind::parse("columnar"), Some(BackendKind::Columnar));
-        assert_eq!(BackendKind::parse("btree"), None);
-        assert_eq!(BackendKind::Hash.name(), "hash");
-        assert_eq!(BackendKind::Columnar.to_string(), "columnar");
-        assert_eq!(BackendKind::default(), BackendKind::Hash);
     }
 }

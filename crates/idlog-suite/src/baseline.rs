@@ -1,9 +1,8 @@
 //! Regression gate against the committed baseline sweep.
 //!
-//! `BENCH_6.json` (schema `idlog-bench/6`, hash backend only) is committed
-//! at the repository root as the performance record of the previous PR.
-//! [`regressions`] compares the current sweep's hash-backend runs against
-//! it: `rounds` and `tuples` are engine counters and must match **exactly**
+//! `BENCH_6.json` (schema `idlog-bench/6`) is committed at the repository
+//! root as the performance record of the previous PR. [`regressions`]
+//! compares the current sweep's runs against it: `rounds` and `tuples` are engine counters and must match **exactly**
 //! for every `(program, strategy, threads)` the baseline records; `wall_ms`
 //! only gates within a deliberately generous tolerance
 //! ([`WALL_TOLERANCE_FACTOR`] with a [`WALL_FLOOR_MS`] floor), because CI
@@ -13,7 +12,6 @@
 //! [`idlog_common::json`] module (re-exported through `idlog_core`), which
 //! is enough for the sweep files this suite itself writes.
 
-use idlog_core::BackendKind;
 pub use idlog_core::Json;
 
 use crate::{strategy_name, SuiteReport};
@@ -45,10 +43,11 @@ pub struct BaselineRun {
     pub tripped: bool,
 }
 
-/// Parse a committed `BENCH_*.json` into its per-run records. Accepts both
-/// schema `idlog-bench/6` (no backend field — hash implied) and
-/// `idlog-bench/7` (only `"backend": "hash"` runs are kept, so a future PR
-/// can re-baseline on a 7-schema file unchanged).
+/// Parse a committed `BENCH_*.json` into its per-run records. Runs without
+/// a backend field (schema `idlog-bench/6`, and every sweep written now)
+/// are all kept. The committed schema 7–10 files also record runs on the
+/// since-deleted columnar backend; only their `"backend": "hash"` runs are
+/// kept, so any committed file can serve as the baseline unchanged.
 pub fn parse_baseline(src: &str) -> Result<Vec<BaselineRun>, String> {
     let doc = Json::parse(src)?;
     let schema = doc
@@ -77,7 +76,7 @@ pub fn parse_baseline(src: &str) -> Result<Vec<BaselineRun>, String> {
             .ok_or_else(|| format!("{program}: no runs"))?
         {
             if let Some(backend) = run.get("backend").and_then(Json::as_str) {
-                if backend != BackendKind::Hash.name() {
+                if backend != "hash" {
                     continue;
                 }
             }
@@ -104,8 +103,7 @@ pub fn parse_baseline(src: &str) -> Result<Vec<BaselineRun>, String> {
     Ok(out)
 }
 
-/// Compare the current sweep's hash-backend runs against a committed
-/// baseline. Returns one message per regression; empty means the gate
+/// Compare the current sweep's runs against a committed baseline. Returns one message per regression; empty means the gate
 /// passes. Programs the baseline does not record (new corpus entries) are
 /// not gated; programs it records but the sweep lost are.
 pub fn regressions(report: &SuiteReport, baseline_src: &str) -> Result<Vec<String>, String> {
@@ -116,13 +114,13 @@ pub fn regressions(report: &SuiteReport, baseline_src: &str) -> Result<Vec<Strin
             failures.push(format!("{}: dropped from the corpus", base.program));
             continue;
         };
-        let Some(run) = case.runs.iter().find(|r| {
-            r.backend == BackendKind::Hash
-                && strategy_name(r.strategy) == base.strategy
-                && r.threads == base.threads
-        }) else {
+        let Some(run) = case
+            .runs
+            .iter()
+            .find(|r| strategy_name(r.strategy) == base.strategy && r.threads == base.threads)
+        else {
             failures.push(format!(
-                "{}: no hash run for ({}, {} threads)",
+                "{}: no run for ({}, {} threads)",
                 base.program, base.strategy, base.threads
             ));
             continue;

@@ -1,11 +1,11 @@
 //! Cross-program benchmark suite: run every shipped example under every
-//! {backend × strategy × thread-count} combination and record the engine's
+//! {strategy × thread-count} combination and record the engine's
 //! own counters (fixpoint rounds, inserted tuples, wall time).
 //!
 //! The binary (`cargo run -p idlog-suite --release`) writes the sweep as
 //! `BENCH_9.json` at the repository root — schema `idlog-bench/9` — which
 //! CI regenerates and uploads as an artifact on every push, and gates the
-//! hash-backend runs against the committed `BENCH_8.json` baseline
+//! runs against the committed `BENCH_8.json` baseline
 //! ([`baseline::regressions`]: rounds/tuples exact, wall time within a
 //! generous tolerance). The suite leans on [`idlog_core::termination`]:
 //! programs whose certificate has a growth witness (the shipped
@@ -18,10 +18,10 @@
 //! recompute_ms` so the service's reason to exist stays measurable.
 //!
 //! Schema 9 added a `magic` section: the [`magic`] module evaluates a
-//! certified point query directly and under `strategy=magic` across every
-//! {backend × threads} combination, asserts byte-identical answers, and
-//! the binary gates [`magic::MagicBench::strictly_prunes`] — the rewrite
-//! must insert and probe strictly fewer tuples on both backends.
+//! certified point query directly and under `strategy=magic` at every
+//! thread count, asserts byte-identical answers, and the binary gates
+//! [`magic::MagicBench::strictly_prunes`] — the rewrite must insert and
+//! probe strictly fewer tuples.
 //!
 //! Schema 10 adds a `durability` section: the [`durability`] module
 //! measures what a restart of a durable tenant costs — WAL replay from
@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use idlog_core::{
-    analyze_termination, BackendKind, CanonicalOracle, CoreError, EvalOptions, Interner, Strategy,
+    analyze_termination, CanonicalOracle, CoreError, EvalOptions, Interner, Strategy,
     TerminationCert, ValidatedProgram,
 };
 use idlog_storage::Database;
@@ -50,9 +50,6 @@ pub mod served;
 /// growth witness: enough to measure per-round cost, small enough that the
 /// sweep stays fast.
 pub const GOVERNED_ROUNDS: u64 = 60;
-
-/// The storage backends the sweep covers.
-pub const BACKENDS: [BackendKind; 2] = [BackendKind::Hash, BackendKind::Columnar];
 
 /// The strategies the sweep covers.
 pub const STRATEGIES: [Strategy; 2] = [Strategy::SemiNaive, Strategy::Naive];
@@ -82,8 +79,6 @@ pub struct Case {
 /// One measured evaluation.
 #[derive(Debug, Clone)]
 pub struct Run {
-    /// Storage backend used.
-    pub backend: BackendKind,
     /// Evaluation strategy used.
     pub strategy: Strategy,
     /// Worker threads used.
@@ -111,7 +106,7 @@ pub struct CaseReport {
     pub bounded: bool,
     /// The certified round bound for the loaded database, when bounded.
     pub round_bound: Option<u64>,
-    /// One entry per {backend × strategy × threads} combination.
+    /// One entry per {strategy × threads} combination.
     pub runs: Vec<Run>,
 }
 
@@ -177,8 +172,7 @@ fn is_choice_dialect(src: &str, interner: &Interner) -> bool {
     })
 }
 
-/// Run one corpus case across every {backend × strategy × threads}
-/// combination.
+/// Run one corpus case across every {strategy × threads} combination.
 pub fn run_case(dir: &Path, case: &Case) -> Result<CaseReport, String> {
     let path = dir.join(&case.program);
     let src = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", case.program))?;
@@ -206,44 +200,36 @@ pub fn run_case(dir: &Path, case: &Case) -> Result<CaseReport, String> {
     let governed = cert.growth_witness().is_some();
 
     let mut runs = Vec::new();
-    for backend in BACKENDS {
-        for strategy in STRATEGIES {
-            for threads in THREADS {
-                let mut options = EvalOptions::new()
-                    .backend(backend)
-                    .strategy(strategy)
-                    .threads(threads);
-                if governed {
-                    options = options.max_rounds(GOVERNED_ROUNDS);
-                }
-                let mut oracle = CanonicalOracle;
-                let start = Instant::now();
-                let outcome =
-                    idlog_core::evaluate_with_options(&program, &db, &mut oracle, &options);
-                let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-                let run = match outcome {
-                    Ok(out) => Run {
-                        backend,
-                        strategy,
-                        threads,
-                        rounds: out.stats().iterations,
-                        tuples: out.stats().inserted,
-                        wall_ms,
-                        tripped: false,
-                    },
-                    Err(CoreError::LimitExceeded { .. }) => Run {
-                        backend,
-                        strategy,
-                        threads,
-                        rounds: GOVERNED_ROUNDS,
-                        tuples: 0,
-                        wall_ms,
-                        tripped: true,
-                    },
-                    Err(e) => return Err(format!("{}: {e}", case.program)),
-                };
-                runs.push(run);
+    for strategy in STRATEGIES {
+        for threads in THREADS {
+            let mut options = EvalOptions::new().strategy(strategy).threads(threads);
+            if governed {
+                options = options.max_rounds(GOVERNED_ROUNDS);
             }
+            let mut oracle = CanonicalOracle;
+            let start = Instant::now();
+            let outcome = idlog_core::evaluate_with_options(&program, &db, &mut oracle, &options);
+            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+            let run = match outcome {
+                Ok(out) => Run {
+                    strategy,
+                    threads,
+                    rounds: out.stats().iterations,
+                    tuples: out.stats().inserted,
+                    wall_ms,
+                    tripped: false,
+                },
+                Err(CoreError::LimitExceeded { .. }) => Run {
+                    strategy,
+                    threads,
+                    rounds: GOVERNED_ROUNDS,
+                    tuples: 0,
+                    wall_ms,
+                    tripped: true,
+                },
+                Err(e) => return Err(format!("{}: {e}", case.program)),
+            };
+            runs.push(run);
         }
     }
     Ok(CaseReport {
@@ -302,10 +288,9 @@ impl SuiteReport {
                     .iter()
                     .map(|run| {
                         format!(
-                            "{{\"backend\": {}, \"strategy\": {}, \"threads\": {}, \
+                            "{{\"strategy\": {}, \"threads\": {}, \
                              \"rounds\": {}, \"tuples\": {}, \"wall_ms\": {:.3}, \
                              \"tripped\": {}}}",
-                            json_str(run.backend.name()),
                             json_str(strategy_name(run.strategy)),
                             run.threads,
                             run.rounds,
@@ -343,11 +328,10 @@ impl SuiteReport {
                     .iter()
                     .map(|r| {
                         format!(
-                            "{{\"backend\": {}, \"threads\": {}, \
+                            "{{\"threads\": {}, \
                              \"direct_inserted\": {}, \"direct_probes\": {}, \
                              \"magic_inserted\": {}, \"magic_probes\": {}, \
                              \"pruned\": {}}}",
-                            json_str(r.backend.name()),
                             r.threads,
                             r.direct_inserted,
                             r.direct_probes,
@@ -428,43 +412,21 @@ mod tests {
                 continue;
             }
             // Rounds and tuples are engine counters, promised identical
-            // across thread counts per (backend, strategy)…
-            for backend in BACKENDS {
-                for strategy in STRATEGIES {
-                    let per: Vec<&Run> = case
-                        .runs
-                        .iter()
-                        .filter(|r| r.backend == backend && r.strategy == strategy)
-                        .collect();
-                    assert_eq!(per.len(), THREADS.len(), "{}", case.case.program);
-                    assert!(
-                        per.windows(2)
-                            .all(|w| w[0].rounds == w[1].rounds && w[0].tuples == w[1].tuples),
-                        "{} not thread-deterministic: {:?}",
-                        case.case.program,
-                        per
-                    );
-                }
-            }
-            // …and across storage backends per (strategy, threads): the
-            // backend changes physical layout only, never the counters.
+            // across thread counts per strategy.
             for strategy in STRATEGIES {
-                for threads in THREADS {
-                    let per: Vec<&Run> = case
-                        .runs
-                        .iter()
-                        .filter(|r| r.strategy == strategy && r.threads == threads)
-                        .collect();
-                    assert_eq!(per.len(), BACKENDS.len(), "{}", case.case.program);
-                    assert!(
-                        per.windows(2).all(|w| w[0].rounds == w[1].rounds
-                            && w[0].tuples == w[1].tuples
-                            && w[0].tripped == w[1].tripped),
-                        "{} not backend-deterministic: {:?}",
-                        case.case.program,
-                        per
-                    );
-                }
+                let per: Vec<&Run> = case
+                    .runs
+                    .iter()
+                    .filter(|r| r.strategy == strategy)
+                    .collect();
+                assert_eq!(per.len(), THREADS.len(), "{}", case.case.program);
+                assert!(
+                    per.windows(2)
+                        .all(|w| w[0].rounds == w[1].rounds && w[0].tuples == w[1].tuples),
+                    "{} not thread-deterministic: {:?}",
+                    case.case.program,
+                    per
+                );
             }
             // A certified bound is an over-approximation of the real
             // round count on this very database.
@@ -515,7 +477,6 @@ mod tests {
                 chain_len: 20,
                 answers: 19,
                 runs: vec![magic::MagicRun {
-                    backend: BackendKind::Hash,
                     threads: 1,
                     direct_inserted: 100,
                     direct_probes: 200,
@@ -564,7 +525,7 @@ mod tests {
     }
 
     #[test]
-    fn json_tags_runs_with_their_backend() {
+    fn json_renders_runs_and_null_sections() {
         let report = SuiteReport {
             cases: vec![CaseReport {
                 case: Case {
@@ -576,7 +537,6 @@ mod tests {
                 bounded: true,
                 round_bound: Some(5),
                 runs: vec![Run {
-                    backend: idlog_core::BackendKind::Columnar,
                     strategy: Strategy::SemiNaive,
                     threads: 2,
                     rounds: 3,
@@ -593,7 +553,13 @@ mod tests {
         assert!(json.contains("\"served\": null"), "{json}");
         assert!(json.contains("\"magic\": null"), "{json}");
         assert!(json.contains("\"durability\": null"), "{json}");
-        assert!(json.contains("\"backend\": \"columnar\""), "{json}");
-        assert!(json.contains("\"strategy\": \"semi-naive\""), "{json}");
+        assert!(
+            json.contains(
+                "{\"strategy\": \"semi-naive\", \"threads\": 2, \"rounds\": 3, \
+                 \"tuples\": 4, \"wall_ms\": 0.500, \"tripped\": false}"
+            ),
+            "{json}"
+        );
+        assert!(!json.contains("backend"), "{json}");
     }
 }

@@ -1,6 +1,6 @@
 //! The goal-directed point-query bench family: the same certified point
 //! query evaluated directly (full semi-naive fixpoint) and under
-//! `strategy=magic`, across every {backend × threads} combination.
+//! `strategy=magic`, at every thread count the sweep covers.
 //!
 //! The EDB is a forest of disjoint parent chains of which exactly one is
 //! reachable from the query constant, so direct evaluation materializes
@@ -9,12 +9,12 @@
 //! and records the engine's own counters; the binary gates
 //! [`MagicBench::strictly_prunes`] — magic must insert strictly fewer
 //! tuples, probe strictly fewer tuples, and report a positive
-//! `tuples_pruned` on **both** backends — so the transformation's profit
+//! `tuples_pruned` at every thread count — so the transformation's profit
 //! stays measurable, not assumed.
 
-use idlog_core::{BackendKind, Query, Strategy};
+use idlog_core::{Query, Strategy};
 
-use crate::{BACKENDS, THREADS};
+use crate::THREADS;
 
 /// The point query the family measures (also shipped as
 /// `programs/ancestor.idl` with a [`ancestor_facts`]-generated sidecar).
@@ -44,11 +44,9 @@ pub fn ancestor_facts(chains: usize, len: usize) -> String {
     out
 }
 
-/// One measured {backend × threads} pair: direct vs magic counters.
+/// One measured thread count: direct vs magic counters.
 #[derive(Debug, Clone)]
 pub struct MagicRun {
-    /// Storage backend used.
-    pub backend: BackendKind,
     /// Worker threads used.
     pub threads: usize,
     /// Tuples inserted by the direct (full) evaluation.
@@ -64,7 +62,7 @@ pub struct MagicRun {
     pub pruned: u64,
 }
 
-/// The whole family: one run per {backend × threads}, plus the answer
+/// The whole family: one run per thread count, plus the answer
 /// count both evaluations agreed on.
 #[derive(Debug, Clone)]
 pub struct MagicBench {
@@ -74,12 +72,12 @@ pub struct MagicBench {
     pub chain_len: usize,
     /// Answer tuples (identical across every run by construction).
     pub answers: usize,
-    /// One entry per {backend × threads} combination.
+    /// One entry per thread count.
     pub runs: Vec<MagicRun>,
 }
 
 impl MagicBench {
-    /// The profit gate: on every combination, magic inserted strictly
+    /// The profit gate: at every thread count, magic inserted strictly
     /// fewer tuples, probed strictly fewer tuples, and pruned a positive
     /// number of EDB tuples.
     pub fn strictly_prunes(&self) -> bool {
@@ -101,48 +99,43 @@ pub fn run_magic(chains: usize, len: usize) -> Result<MagicBench, String> {
 
     let mut runs = Vec::new();
     let mut answers = None;
-    for backend in BACKENDS {
-        for threads in THREADS {
-            let direct = query
-                .session(&db)
-                .backend(backend)
-                .threads(threads)
-                .run()
-                .map_err(|e| e.to_string())?;
-            let magic = query
-                .session(&db)
-                .backend(backend)
-                .threads(threads)
-                .strategy(Strategy::Magic)
-                .run()
-                .map_err(|e| e.to_string())?;
-            let direct_rows = direct.relation.sorted_canonical(query.interner());
-            let magic_rows = magic.relation.sorted_canonical(query.interner());
-            if direct_rows != magic_rows {
-                return Err(format!(
-                    "magic answers diverge from direct on {backend} x {threads} threads: \
-                     {} vs {} tuples",
-                    magic_rows.len(),
-                    direct_rows.len()
-                ));
-            }
-            match answers {
-                None => answers = Some(direct_rows.len()),
-                Some(n) if n != direct_rows.len() => {
-                    return Err("answer count drifted across combinations".to_string());
-                }
-                Some(_) => {}
-            }
-            runs.push(MagicRun {
-                backend,
-                threads,
-                direct_inserted: direct.stats.inserted,
-                direct_probes: direct.stats.probes,
-                magic_inserted: magic.stats.inserted,
-                magic_probes: magic.stats.probes,
-                pruned: magic.stats.tuples_pruned,
-            });
+    for threads in THREADS {
+        let direct = query
+            .session(&db)
+            .threads(threads)
+            .run()
+            .map_err(|e| e.to_string())?;
+        let magic = query
+            .session(&db)
+            .threads(threads)
+            .strategy(Strategy::Magic)
+            .run()
+            .map_err(|e| e.to_string())?;
+        let direct_rows = direct.relation.sorted_canonical(query.interner());
+        let magic_rows = magic.relation.sorted_canonical(query.interner());
+        if direct_rows != magic_rows {
+            return Err(format!(
+                "magic answers diverge from direct at {threads} threads: \
+                 {} vs {} tuples",
+                magic_rows.len(),
+                direct_rows.len()
+            ));
         }
+        match answers {
+            None => answers = Some(direct_rows.len()),
+            Some(n) if n != direct_rows.len() => {
+                return Err("answer count drifted across thread counts".to_string());
+            }
+            Some(_) => {}
+        }
+        runs.push(MagicRun {
+            threads,
+            direct_inserted: direct.stats.inserted,
+            direct_probes: direct.stats.probes,
+            magic_inserted: magic.stats.inserted,
+            magic_probes: magic.stats.probes,
+            pruned: magic.stats.tuples_pruned,
+        });
     }
     Ok(MagicBench {
         chains,
@@ -180,11 +173,11 @@ mod tests {
     #[test]
     fn family_prunes_strictly_on_both_backends() {
         let bench = run_magic(4, 24).unwrap();
-        assert_eq!(bench.runs.len(), BACKENDS.len() * THREADS.len());
+        assert_eq!(bench.runs.len(), THREADS.len());
         assert!(bench.strictly_prunes(), "{bench:?}");
         // Only chain 0 is reachable from `ann`: len-1 answers.
         assert_eq!(bench.answers, 23);
-        // Counters are thread- and backend-invariant.
+        // Counters are thread-invariant.
         let r0 = &bench.runs[0];
         for r in &bench.runs {
             assert_eq!(r.direct_inserted, r0.direct_inserted, "{r:?}");

@@ -1,12 +1,12 @@
 //! `idlog-suite`: run the corpus sweep plus the served-mode latency bench,
 //! the goal-directed point-query bench, and the durability restart-cost
 //! bench, write `BENCH_10.json` at the repository root (CI regenerates and
-//! uploads it as an artifact), and gate the hash-backend runs against the
+//! uploads it as an artifact), and gate the runs against the
 //! committed `BENCH_9.json` baseline — counters exact, wall time within a
 //! generous tolerance. The served section is gated directly: incremental
 //! maintenance must beat full recompute. So is the magic section
 //! (`strategy=magic` must insert and probe strictly fewer tuples than
-//! direct evaluation on both backends) and the durability section
+//! direct evaluation at every thread count) and the durability section
 //! (recovering a tenant from its checkpoint must be strictly cheaper than
 //! replaying the WAL from genesis), or the binary exits nonzero so CI
 //! fails.
@@ -158,7 +158,7 @@ fn main() {
     if !magic_ok {
         eprintln!(
             "regression: strategy=magic does not strictly prune \
-             (inserted/probes must drop and tuples_pruned must be positive on every backend)"
+             (inserted/probes must drop and tuples_pruned must be positive at every thread count)"
         );
         std::process::exit(1);
     }
@@ -171,7 +171,7 @@ fn main() {
     }
 
     // Regression gate: the committed BENCH_9.json is the previous PR's
-    // performance record for the hash backend.
+    // performance record.
     let baseline_path = root.join("BENCH_9.json");
     match std::fs::read_to_string(&baseline_path) {
         Err(e) => {
